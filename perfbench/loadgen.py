@@ -125,13 +125,14 @@ class Done:
     pending handle so a run does not keep one event and lock alive per
     request (that memory would count in the program's peak RSS)."""
 
-    __slots__ = ("query", "outcome", "resolved_at", "answer", "lag",
-                 "max_staleness")
+    __slots__ = ("query", "outcome", "resolved_at", "length", "kind",
+                 "lag", "max_staleness")
 
     query: object
     outcome: str
     resolved_at: Optional[float]
-    answer: object
+    length: Optional[int]   # of the answer, None when none came back
+    kind: Optional[str]
     lag: int
     max_staleness: int
 
@@ -143,8 +144,14 @@ def settle(sample: Sample) -> None:
     """Wait for ``sample``'s request and keep only its :class:`Done`."""
     p = sample.pending
     p.result()
+    # The answer object is not kept: a closed loop makes as many
+    # requests as the machine serves, and the benchmark's own memory
+    # per request should not move the program's peak RSS with that.
+    answer = getattr(p, "answer", None)
     sample.pending = Done(getattr(p, "query", None), p.outcome,
-                          p.resolved_at, getattr(p, "answer", None),
+                          p.resolved_at,
+                          None if answer is None else answer.length,
+                          None if answer is None else answer.kind,
                           getattr(p, "lag", 0),
                           getattr(p, "max_staleness", 0))
 

@@ -8,10 +8,13 @@ Run from the root of a checkout::
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  ``--trace 0`` reports the
 end-to-end metrics of ``BENCHMARK.json``; ``--trace 1`` is a separate
-run with the span tracer on and reports the per-layer metrics.  A
-wrong answer or a changed ledger makes ``correct`` false and the exit
-code 1.  ``perfbench/spec.json`` records the workload parameters and
-which end-to-end metric each per-layer metric should move.
+run with the span tracer on and reports the per-layer metrics.  Every
+workload reports the whole list; a per-layer metric of a layer the
+workload does not exercise (the solver phases under ``serve-*``, the
+daemon under ``solve``) reads 0.  A wrong answer or a changed ledger
+makes ``correct`` false and the exit code 1.  ``perfbench/spec.json``
+records the workload parameters and which end-to-end metric each
+per-layer metric should move.
 
 ``--record-fingerprints`` re-solves every ``solve`` input variant and
 rewrites ``perfbench/fingerprints.json`` (only after checking the
@@ -24,9 +27,32 @@ import argparse
 import json
 import pathlib
 import sys
+from typing import Dict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "BENCHMARK.json"
 WORKLOADS = ("solve", "serve-mixed", "serve-storm")
+
+
+def manifest_metrics(trace: bool) -> Dict[str, str]:
+    """Name -> unit of the metrics a ``--trace`` run must report."""
+    manifest = json.loads(MANIFEST.read_text())
+    return {m["name"]: m["unit"]
+            for m in manifest["per_layer" if trace else "end_to_end"]}
+
+
+def complete(metrics: Dict[str, Dict[str, object]],
+             wanted: Dict[str, str], trace: bool) -> None:
+    """Hold ``metrics`` to the manifest's list: per-layer metrics of a
+    layer the workload did not run are added as 0; anything else
+    missing, extra or in another unit is a benchmark bug."""
+    if trace:
+        for name, unit in wanted.items():
+            metrics.setdefault(name, {"value": 0.0, "unit": unit})
+    got = {name: m["unit"] for name, m in metrics.items()}
+    if got != wanted:
+        diff = sorted(set(got.items()) ^ set(wanted.items()))
+        raise AssertionError(f"metrics differ from the manifest: {diff}")
 
 
 def _import_paths() -> None:
@@ -56,6 +82,7 @@ def main(argv=None) -> int:
         return 0
     if args.workload is None:
         parser.error("--workload is required")
+    wanted = manifest_metrics(bool(args.trace))
     if args.workload == "solve":
         from perfbench import solve
         result = solve.run(args.seed, args.seconds, bool(args.trace))
@@ -63,6 +90,7 @@ def main(argv=None) -> int:
         from perfbench import serve
         result = serve.run(args.workload, args.seed, args.seconds,
                            bool(args.trace))
+    complete(result.metrics, wanted, bool(args.trace))
     for line in result.mismatches:
         print(f"MISMATCH {line}", file=sys.stderr)
     for name, metric in sorted(result.metrics.items()):

@@ -9,14 +9,19 @@ workers the three processes contend and the latency percentiles of
 repeated runs differ by a factor of two or more.
 
 * ``serve-mixed`` — read-heavy ``mixed`` traffic (80% oracle hits,
-  20% zipf fallbacks through the batch planner's k-source solve): an
-  open loop at a nominal and at a peak rate, both below the measured
-  knee, then a closed-loop capacity phase.
+  20% zipf fallbacks through the batch planner's k-source solve).
 * ``serve-storm`` — uniform reads, about 90% with an epoch budget of 2
   and 10% demanding fresh answers, while a second thread applies a
   4-mutation burst to one instance every 2 s, round-robin.  The
   re-warm after each burst runs on the daemon's default ``fast``
   message engine, so stale serving and fresh-demand waits both show.
+
+The untraced run of either drives a closed loop for the whole
+``--seconds`` and reports its median wall time per answer over blocks
+of answers (``op_ms``).  The traced run drives open loops instead — serve-mixed
+at a nominal and at a peak rate below the measured knee, then a short
+closed-loop capacity phase; serve-storm at a fixed rate — and reports
+their due-time latencies with the per-layer split.
 
 Every served answer is checked against a centralized SSSP on the
 topology epoch it reports before any number is printed.
@@ -49,6 +54,11 @@ PEAK_QPS = 1000
 #: front-end's per-shard in-flight cap (64), so nothing is refused.
 CAPACITY_CLIENTS = 2
 CAPACITY_WINDOW = 16
+#: ``op_ms`` is taken over the first ``OP_ANSWERS_PER_S x --seconds``
+#: answers of the closed loop (a third to a half of what a run serves
+#: on a 2-CPU machine), in blocks of ``OP_BLOCK``.
+OP_ANSWERS_PER_S = 2000
+OP_BLOCK = 1000
 #: Storm traffic and writes.
 STORM_QPS = 100
 STORM_STALENESS = 2
@@ -75,7 +85,8 @@ def make_catalog():
             for i in range(CATALOG)]
 
 
-def query_stream(catalog, seed: int, kind: str) -> Iterator[object]:
+def query_stream(catalog, seed: int, kind: str,
+                 shared: bool = False) -> Iterator[object]:
     """Endless interleave of per-instance query chunks.
 
     Each chunk draws a fresh zipf permutation, so which sources are
@@ -83,10 +94,18 @@ def query_stream(catalog, seed: int, kind: str) -> Iterator[object]:
     keep the share of fallbacks that find the memo cold the same in
     every second of a run, instead of a burst of cold solves whenever
     a long chunk turns over.
+
+    With ``shared`` every repeat of a query is the same object, so the
+    samples a closed loop keeps for the checks grow with the distinct
+    queries, not with how many requests the machine served, and do not
+    move ``peak_rss_mib`` with the run's speed.  The traced runs keep
+    repeats distinct: :class:`BatchLog` tells requests apart by
+    identity.
     """
     from repro.serve.workload import mixed_workload, uniform_workload
 
     rng = random.Random(seed)
+    seen: Dict[object, object] = {}
     while True:
         chunks = []
         for inst in catalog:
@@ -99,7 +118,8 @@ def query_stream(catalog, seed: int, kind: str) -> Iterator[object]:
                 chunks.append(uniform_workload(inst, CHUNK,
                                                seed=chunk_seed))
         for group in zip(*chunks):
-            yield from group
+            for query in group:
+                yield seen.setdefault(query, query) if shared else query
 
 
 class Truth:
@@ -178,8 +198,8 @@ def verify(result: Result, samples: Sequence[loadgen.Sample],
             p.query.instance, base, s.sent, p.resolved_at)
         wants = {truth.length(p.query, e - lag)
                  for e in range(lo, hi + 1)}
-        if p.answer.length not in wants:
-            result.mismatch(f"{p.query.label}: served {p.answer.length}"
+        if p.length not in wants:
+            result.mismatch(f"{p.query.label}: served {p.length}"
                             f" ({p.outcome}, lag {lag}), truth "
                             f"{sorted(w for w in wants if w is not None)}")
 
@@ -245,14 +265,25 @@ class BatchLog:
         return row[2] - row[1]
 
 
-def _open_phase(service: Service, stream, rate: float, seconds: float,
-                staleness=None, depth: Optional[List[int]] = None):
+def _submitter(service: Service, budgeted: bool):
+    """``submit(item)`` for plain queries, or for the (query, epoch
+    budget) pairs of :func:`budgeted`."""
     frontend = service.frontend
-    if staleness is None:
-        submit = frontend.submit
-    else:
-        def submit(item):
-            return frontend.submit(item, max_staleness=staleness())
+    if not budgeted:
+        return frontend.submit
+
+    def submit(item):
+        query, budget = item
+        return frontend.submit(query, max_staleness=budget)
+
+    return submit
+
+
+def _open_phase(service: Service, stream, rate: float, seconds: float,
+                budgeted: bool = False,
+                depth: Optional[List[int]] = None):
+    frontend = service.frontend
+    submit = _submitter(service, budgeted)
     on_send = None
     if depth is not None:
         def on_send():
@@ -362,27 +393,60 @@ def _check(result: Result, samples, truth: Truth,
     verify(result, samples, truth, epochs)
 
 
-def run_mixed(seed: int, seconds: float) -> Result:
-    """End-to-end metrics: set-up, memory and the share served.  The
-    latency and capacity figures of this workload move by a factor of
-    two or more between repeated runs on a shared 2-CPU machine, so
-    they are reported by the traced run as per-layer diagnostics."""
-    result = Result()
-    catalog, service, setup_s = setup()
-    stream = query_stream(catalog, seed, "mixed")
-    try:
-        _warmup(service, stream)
-        nominal, peak, capacity, _window = _mixed_phases(
-            service, stream, seconds)
-    finally:
-        service.close()
-    result.put("peak_rss_mib", peak_rss_mib(), "MiB")
-    truth = Truth(catalog)
-    for samples in (nominal, peak, capacity.samples):
-        _check(result, samples, truth)
+def _op_ms(report, answers: int, block: int = OP_BLOCK) -> float:
+    """Median wall time per answer over the closed loop's first
+    ``answers`` answers, taken per block of ``block`` consecutive ones.
+
+    A fixed count, not every answer of the run: the fallback memo keeps
+    warming for the first ~150k answers (serve-mixed's time per answer
+    falls by more than half), so a figure over all answers would move
+    with how many a run got through.  The block median keeps a block
+    that spans a stall — a fresh-demanding request waiting out a
+    re-warm under serve-storm, a slow stretch of the machine — from
+    moving it; the traced run reports the stalls (``serve.lat_p99_ms``,
+    ``serve.refresh_s``)."""
+    done = sorted(s.pending.resolved_at for s in report.samples
+                  if s.served and s.pending.resolved_at <= report.deadline)
+    if len(done) < max(answers, block):
+        raise AssertionError(f"the closed loop served {len(done)} "
+                             f"answers, under the {answers} op_ms needs")
+    marks = [report.start] + done[:answers][block - 1::block]
+    return median([(b - a) / block * 1e3
+                   for a, b in zip(marks, marks[1:])])
+
+
+def _closed_phase(service: Service, stream, seconds: float,
+                  budgeted: bool = False):
+    return loadgen.closed_loop(_submitter(service, budgeted), stream,
+                               CAPACITY_CLIENTS, CAPACITY_WINDOW, seconds)
+
+
+def _end_to_end(result: Result, setup_s: float, report,
+                seconds: float) -> None:
     result.put("setup_s", setup_s, "s")
     result.put("served_frac", 1.0 - result.failed / result.attempted,
                "frac")
+    result.put("op_ms", _op_ms(report, int(OP_ANSWERS_PER_S * seconds)),
+               "ms")
+
+
+def run_mixed(seed: int, seconds: float) -> Result:
+    """End-to-end metrics: set-up, memory, the share served and the
+    closed loop's wall time per answer (:func:`_op_ms`).  The open-loop
+    latency percentiles of this workload move by a factor of two or
+    more between repeated runs on a shared 2-CPU machine, so they are
+    reported by the traced run as per-layer diagnostics."""
+    result = Result()
+    catalog, service, setup_s = setup()
+    stream = query_stream(catalog, seed, "mixed", shared=True)
+    try:
+        _warmup(service, stream)
+        report = _closed_phase(service, stream, seconds)
+    finally:
+        service.close()
+    result.put("peak_rss_mib", peak_rss_mib(), "MiB")
+    _check(result, report.samples, Truth(catalog))
+    _end_to_end(result, setup_s, report, seconds)
     return result
 
 
@@ -390,7 +454,7 @@ def _kind_fracs(result: Result, samples) -> None:
     from repro.serve.queries import (BATCHED_SOLVE, FALLBACK_CACHED,
                                      HIT_KINDS)
 
-    kinds = [s.pending.answer.kind for s in samples if s.served]
+    kinds = [s.pending.kind for s in samples if s.served]
     total = len(kinds)
     result.put("oracle.hit_frac",
                sum(k in HIT_KINDS for k in kinds) / total, "frac")
@@ -544,25 +608,19 @@ class Mutator(threading.Thread):
             self.error = exc
 
 
-def _storm_phase(service, catalog, seed, seconds, truth, epochs,
-                 depth=None):
-    rng = random.Random(seed)
-
-    def staleness() -> int:
-        return 0 if rng.random() < STORM_FRESH_SHARE else STORM_STALENESS
-
-    stream = query_stream(catalog, seed, "uniform")
+def _during_storm(service, catalog, seed, truth, epochs, drive):
+    """Run ``drive()`` while a :class:`Mutator` applies the bursts;
+    returns what it returned and the mutator."""
     mutator = Mutator(service, catalog, seed, truth, epochs)
     mutator.start()
     try:
-        samples = _open_phase(service, stream, STORM_QPS, seconds,
-                              staleness=staleness, depth=depth)
+        out = drive()
     finally:
         mutator.halt.set()
         mutator.join()
     if mutator.error is not None:
         raise mutator.error
-    return samples, mutator
+    return out, mutator
 
 
 def _refresh_s(samples, mutator: Mutator) -> List[float]:
@@ -579,25 +637,43 @@ def _refresh_s(samples, mutator: Mutator) -> List[float]:
     return out
 
 
+def budgeted(stream, seed: int) -> Iterator[Tuple[object, int]]:
+    """Pair each query with its epoch budget: 0 (fresh) with
+    probability ``STORM_FRESH_SHARE``, else ``STORM_STALENESS``."""
+    rng = random.Random(seed)
+    # Shared like the queries of a ``shared`` stream (see there).
+    pairs: Dict[Tuple[object, int], Tuple[object, int]] = {}
+    for query in stream:
+        fresh = rng.random() < STORM_FRESH_SHARE
+        pair = (query, 0 if fresh else STORM_STALENESS)
+        yield pairs.setdefault(pair, pair)
+
+
 def run_storm(seed: int, seconds: float) -> Result:
-    """End-to-end metrics: set-up, memory and the share served.  The
-    storm's latency percentiles and refresh time follow the re-warm's
-    duration, which moved 20-50% between repeated runs on a shared
-    2-CPU machine, so the traced run reports them per layer."""
+    """End-to-end metrics: set-up, memory, the share served and the
+    closed loop's wall time per answer while the bursts land.  The
+    open-loop latency percentiles and refresh time follow the
+    re-warm's duration, which moved 20-50% between repeated runs on a
+    shared 2-CPU machine, so the traced run reports them per layer."""
     result = Result()
     catalog, service, setup_s = setup()
     truth = Truth(catalog)
     epochs = EpochLog()
     try:
         _warmup(service, query_stream(catalog, seed + 1, "uniform"))
-        samples, _mutator = _storm_phase(service, catalog, seed, seconds,
-                                         truth, epochs)
+        stream = budgeted(query_stream(catalog, seed, "uniform",
+                                       shared=True), seed)
+        report, mutator = _during_storm(
+            service, catalog, seed, truth, epochs,
+            lambda: _closed_phase(service, stream, seconds,
+                                  budgeted=True))
     finally:
         service.close()
+    if not mutator.applies:
+        raise AssertionError("no burst was applied during the storm")
     result.put("peak_rss_mib", peak_rss_mib(), "MiB")
-    _check(result, samples, truth, epochs)
-    result.put("setup_s", setup_s, "s")
-    result.put("served_frac", 1.0 - result.failed / len(samples), "frac")
+    _check(result, report.samples, truth, epochs)
+    _end_to_end(result, setup_s, report, seconds)
     return result
 
 
@@ -618,9 +694,12 @@ def trace_storm(seed: int, seconds: float) -> Result:
             log = BatchLog(service.daemon)
             depth: List[int] = []
             t0 = time.time()
-            samples, mutator = _storm_phase(service, catalog, seed,
-                                            seconds, truth, epochs,
-                                            depth=depth)
+            storm = budgeted(query_stream(catalog, seed, "uniform"),
+                             seed)
+            samples, mutator = _during_storm(
+                service, catalog, seed, truth, epochs,
+                lambda: _open_phase(service, storm, STORM_QPS, seconds,
+                                    budgeted=True, depth=depth))
             t1 = time.time()
             totals = service.daemon.stats()["totals"]
         finally:

@@ -5,12 +5,15 @@ Run with ``python3 -m pytest perfbench -q`` from the repository root.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
-from perfbench import layers, loadgen
-from perfbench.serve import EpochLog
+from perfbench import layers, loadgen, run
+from perfbench.common import ROOT
+from perfbench.serve import EpochLog, _op_ms
+from perfbench.solve import SOLVES
 
 
 class FakeClock:
@@ -211,3 +214,57 @@ def test_epoch_window_brackets_the_worker_epoch():
     assert log.window("g", 0, sent=15.0, resolved=15.1) == (1, 1)
     assert log.window("g", 0, sent=25.0, resolved=25.1) == (2, 2)
     assert log.window("other", 0, sent=25.0, resolved=25.1) == (0, 0)
+
+
+def test_op_ms_is_the_median_block_wall_over_the_first_answers():
+    clock = FakeClock()
+    calls = []
+
+    def submit(item):
+        calls.append(item)
+        # 10 ms per answer with one 1 s stall; from the 31st on, 50 ms.
+        if len(calls) == 7:
+            clock.sleep(1.0)
+        else:
+            clock.sleep(0.01 if len(calls) <= 30 else 0.05)
+        return FakePending("ok", clock())
+
+    report = loadgen.closed_loop(submit, range(100), clients=1, window=1,
+                                 seconds=2.0, clock=clock)
+    # Six blocks of five over the first 30 answers: one spans the
+    # stall, the median does not; later answers are not counted.
+    assert _op_ms(report, answers=30, block=5) == pytest.approx(10.0)
+    with pytest.raises(AssertionError):
+        _op_ms(report, answers=1000, block=5)
+
+
+def test_complete_fills_absent_layers_with_zero_only_when_traced():
+    wanted = {"a_s": "s", "b": "count"}
+    traced = {"a_s": {"value": 1.5, "unit": "s"}}
+    run.complete(traced, wanted, trace=True)
+    assert traced["b"] == {"value": 0.0, "unit": "count"}
+    with pytest.raises(AssertionError):
+        run.complete({"a_s": {"value": 1.5, "unit": "s"}}, wanted,
+                     trace=False)
+    with pytest.raises(AssertionError):
+        run.complete({"a_s": {"value": 1.5, "unit": "ms"},
+                      "b": {"value": 1.0, "unit": "count"}}, wanted,
+                     trace=False)
+
+
+def _expand(name):
+    """spec.json's ``<thm1>`` and ``<solve>`` placeholders."""
+    for marker, solves in (("<thm1>", SOLVES[:2]), ("<solve>", SOLVES)):
+        if marker in name:
+            return [name.replace(marker, s) for s in solves]
+    return [name]
+
+
+def test_spec_describes_every_manifest_metric():
+    manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec = json.loads((ROOT / "perfbench" / "spec.json").read_text())
+    for key in ("end_to_end", "per_layer"):
+        names = [m["name"] for m in manifest[key]]
+        described = [n for raw in spec[key] for n in _expand(raw)]
+        assert sorted(names) == sorted(described), key
+    assert [w["name"] for w in manifest["workloads"]] == list(run.WORKLOADS)
