@@ -1,5 +1,14 @@
 """End-to-end tests for Theorem 3 (approx.apx_rpaths): the (1+ε) sandwich
-|st ⋄ e| ≤ x ≤ (1+ε)|st ⋄ e| against the centralized oracle."""
+|st ⋄ e| ≤ x ≤ (1+ε)|st ⋄ e| against the centralized oracle, plus a
+golden fixture that pins the exact values and ledgers.
+
+Regenerate the fixture (only when a change is *meant* to move Theorem 3's
+values or ledgers) with ``PYTHONPATH=src python -m tests.test_apx_rpaths``.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,3 +121,80 @@ class TestIntervalWidthAblation:
             instance, epsilon=0.5,
             landmarks=list(range(instance.n)))
         assert_sandwich(instance, report, 0.5)
+
+
+# -- golden fixture -----------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "theorem3_golden.json"
+GOLDEN_EPSILONS = (0.5, 0.25, 0.1)
+GOLDEN_FABRICS = ("fast", "vector")
+LEDGER_FIELDS = ("name", "rounds", "messages", "words", "max_link_words",
+                 "violations")
+
+
+def _exact(value):
+    """``[type, "num/den"]`` — the value and its type, nothing rounded."""
+    frac = Fraction(value)
+    return [type(value).__name__,
+            f"{frac.numerator}/{frac.denominator}"]
+
+
+def theorem3_record(instance, epsilon, fabric):
+    """Everything a Theorem 3 solve reports, in exact JSON form."""
+    report = solve_apx_rpaths(instance, epsilon=epsilon, seed=1,
+                              fabric=fabric)
+    return {
+        "lengths": [repr(x) for x in report.lengths],
+        "short": [_exact(x) for x in report.extras["short"]],
+        "long": [_exact(x) for x in report.extras["long"]],
+        "ledger": [[stats.as_dict()[f] for f in LEDGER_FIELDS]
+                   for stats in report.ledger.phases()],
+    }
+
+
+def golden_cells():
+    for idx, instance in enumerate(family_instances(weighted=True)):
+        for epsilon in GOLDEN_EPSILONS:
+            yield f"{idx}:{instance.name}:eps={epsilon}", instance, epsilon
+
+
+class TestTheorem3Golden:
+    """Lengths, exact ``extras`` values with their types and the full
+    per-phase ledger must match the committed fixture on both fabrics.
+
+    ``TestWeightedApproxSolver`` compares the fabrics with each other;
+    both share the ``repro.approx`` arithmetic, so only a fixed record
+    catches a drift in that arithmetic.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_fixture_covers_every_cell(self, golden):
+        assert sorted(golden) == sorted(key for key, _, _ in golden_cells())
+
+    @pytest.mark.parametrize("fabric", GOLDEN_FABRICS)
+    def test_matches_fixture(self, golden, fabric):
+        for key, instance, epsilon in golden_cells():
+            got = theorem3_record(instance, epsilon, fabric)
+            assert got == golden[key], (key, fabric)
+
+
+if __name__ == "__main__":
+    records = {}
+    for key, instance, epsilon in golden_cells():
+        by_fabric = [theorem3_record(instance, epsilon, fabric)
+                     for fabric in GOLDEN_FABRICS]
+        assert all(r == by_fabric[0] for r in by_fabric), key
+        records[key] = by_fabric[0]
+    # One line per field keeps the fixture small and its diffs readable.
+    cells = [
+        f" {json.dumps(key)}: {{\n" + ",\n".join(
+            f"  {json.dumps(field)}: {json.dumps(value)}"
+            for field, value in record.items()) + "\n }"
+        for key, record in records.items()
+    ]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("{\n" + ",\n".join(cells) + "\n}\n")
+    print(f"wrote {len(records)} cells to {GOLDEN}")
