@@ -17,11 +17,14 @@ Lemma 7.2 then collapses C_i into the query structure
 eX({i}, [j, ∞)) = min { d' : (k, d') ∈ C_i, k ≥ j } — a suffix minimum.
 The mirrored run (forward sense, min select) produces eX((−∞, j], {i})
 analogously via prefix minima.
+
+Both steps are local arithmetic at v_i, done in integer units of 1/U
+(see :mod:`repro.approx.rounding`); only the finished query structures
+hold exact Fractions.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Sequence
 
 from ..congest.network import CongestNetwork
@@ -29,9 +32,7 @@ from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from ..core.hop_bfs import pruned_max_hop_bfs
 from ..core.knowledge import PathKnowledge
-from .rounding import Scale
-
-Number = object  # int | Fraction — lengths may be fractional
+from .rounding import Length, Scale, to_length
 
 
 class ShortDetourTables:
@@ -40,26 +41,26 @@ class ShortDetourTables:
     ``forward[i][j]`` = eX({i}, [j, ∞))   for j in [i+1, h_st]
     ``backward[i][j]`` = eX((−∞, j], {i}) for j in [0, i−1]
 
-    Entries are exact Fractions (INF sentinel for "none"); the arrays
+    Entries are exact Fractions, or the INF int for "none"; the arrays
     live at v_i and were computed from messages v_i received.
     """
 
     def __init__(self, hop_count: int) -> None:
         self.hop_count = hop_count
-        self.forward: List[Dict[int, Number]] = [
+        self.forward: List[Dict[int, Length]] = [
             {} for _ in range(hop_count + 1)
         ]
-        self.backward: List[Dict[int, Number]] = [
+        self.backward: List[Dict[int, Length]] = [
             {} for _ in range(hop_count + 1)
         ]
 
-    def x_start_at(self, i: int, j: int) -> Number:
+    def x_start_at(self, i: int, j: int) -> Length:
         """eX({i}, [j, ∞)) — detour leaves exactly at v_i, rejoins ≥ v_j."""
         if j > self.hop_count:
             return INF
         return self.forward[i].get(j, INF)
 
-    def x_end_at(self, i: int, j: int) -> Number:
+    def x_end_at(self, i: int, j: int) -> Length:
         """eX((−∞, j], {i}) — detour leaves ≤ v_j, rejoins exactly at v_i."""
         if j < 0:
             return INF
@@ -79,10 +80,12 @@ def build_short_detour_tables(
     h = knowledge.hop_count
     avoid = instance.path_edge_set()
     tables = ShortDetourTables(h)
+    unit = scales[0].unit  # the same U on every scale
 
-    # pairs_fwd[i][k] = best d' among harvested pairs (k, d') at v_i.
-    pairs_fwd: List[Dict[int, Number]] = [{} for _ in range(h + 1)]
-    pairs_bwd: List[Dict[int, Number]] = [{} for _ in range(h + 1)]
+    # pairs_fwd[i][k] = best d' (in units) among harvested pairs (k, d')
+    # at v_i.
+    pairs_fwd: List[Dict[int, int]] = [{} for _ in range(h + 1)]
+    pairs_bwd: List[Dict[int, int]] = [{} for _ in range(h + 1)]
 
     with net.ledger.phase(phase):
         for scale in scales:
@@ -104,39 +107,41 @@ def build_short_detour_tables(
                 avoid_edges=avoid, delay=scale.delay,
                 record_for=path, sense="forward", select="min",
                 phase=f"scaled-bfs-rev(d={scale.d})")
+            mu = scale.mu_units
             for i in range(h + 1):
                 table_f = fwd[path[i]]
                 table_b = bwd[path[i]]
-                dist_s_i = knowledge.dist_from_s[i]
-                dist_t_i = knowledge.dist_to_t[i]
+                best_f = pairs_fwd[i]
+                best_b = pairs_bwd[i]
+                dist_s_i = knowledge.dist_from_s[i] * unit
+                dist_t_i = knowledge.dist_to_t[i] * unit
                 for hop in range(1, budget + 1):
                     entry = table_f[hop]
                     if entry is not None and entry[0] > i:
                         j, dist_t_j = entry
-                        d_prime = dist_s_i + scale.length(hop) + dist_t_j
-                        best = pairs_fwd[i].get(j)
-                        if best is None or d_prime < best:
-                            pairs_fwd[i][j] = d_prime
+                        d_prime = dist_s_i + hop * mu + dist_t_j * unit
+                        if d_prime < best_f.get(j, INF):
+                            best_f[j] = d_prime
                     entry = table_b[hop]
                     if entry is not None and entry[0] < i:
                         j, dist_s_j = entry
-                        d_prime = dist_s_j + scale.length(hop) + dist_t_i
-                        best = pairs_bwd[i].get(j)
-                        if best is None or d_prime < best:
-                            pairs_bwd[i][j] = d_prime
+                        d_prime = dist_s_j * unit + hop * mu + dist_t_i
+                        if d_prime < best_b.get(j, INF):
+                            best_b[j] = d_prime
 
-        # Lemma 7.2 — local suffix/prefix minima over the pair sets.
+        # Lemma 7.2 — local suffix/prefix minima over the pair sets; a
+        # minimum becomes a Fraction once, when it changes.
         for i in range(h + 1):
-            running: Number = INF
+            running, value = INF, INF
             for j in range(h, i, -1):
-                candidate = pairs_fwd[i].get(j)
-                if candidate is not None and candidate < running:
-                    running = candidate
-                tables.forward[i][j] = running
-            running = INF
+                candidate = pairs_fwd[i].get(j, INF)
+                if candidate < running:
+                    running, value = candidate, to_length(candidate, unit)
+                tables.forward[i][j] = value
+            running, value = INF, INF
             for j in range(0, i):
-                candidate = pairs_bwd[i].get(j)
-                if candidate is not None and candidate < running:
-                    running = candidate
-                tables.backward[i][j] = running
+                candidate = pairs_bwd[i].get(j, INF)
+                if candidate < running:
+                    running, value = candidate, to_length(candidate, unit)
+                tables.backward[i][j] = value
     return tables

@@ -9,7 +9,11 @@ Runs, on a fresh CONGEST network:
 
 Output guarantee (Definition 2.2): for each edge e of P, the reported x
 satisfies |st ⋄ e| ≤ x ≤ (1+ε)·|st ⋄ e| w.h.p.  Lengths are reported as
-floats; internally everything is exact rational arithmetic.
+floats; internally they are exact: the local arithmetic of the L7.5
+harvest and the P7.11 merge, closure and completion counts integer units
+of 1/U (:mod:`repro.approx.rounding`), and lengths travel as exact
+Fractions on the wire and between the stages.  ``scale_ladder`` raises
+``ValueError`` if the instance's weights would overflow those units.
 """
 
 from __future__ import annotations

@@ -22,10 +22,11 @@ import math
 from typing import Dict, List, Optional, Sequence
 
 from ..congest.broadcast import broadcast_messages
+from ..congest.dispatch import dispatch
 from ..congest.multisource import multi_source_hop_bfs
 from ..congest.network import CongestNetwork
 from ..congest.spanning_tree import SpanningTree
-from ..congest.words import INF, clamp_inf
+from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
 from ..core.knowledge import PathKnowledge
 from ..core.landmark_distances import LandmarkDistances, landmark_closure
@@ -36,7 +37,16 @@ from ..core.segments import (
     prefix_min_to_landmarks,
     suffix_min_from_landmarks,
 )
-from .rounding import Scale
+from .rounding import Scale, to_length, to_units
+
+
+def _merge_scaled(best: List[int], hops: List[int], mu_units: int) -> None:
+    """best[v] = min(best[v], hops[v]·μ_d) in units of 1/U."""
+    for v, h in enumerate(hops):
+        if h < INF:
+            length = h * mu_units
+            if length < best[v]:
+                best[v] = length
 
 
 def compute_landmark_distances_weighted(
@@ -47,11 +57,24 @@ def compute_landmark_distances_weighted(
     avoid_edges,
     phase: str = "landmark-distances(P7.11)",
 ) -> LandmarkDistances:
-    """The Lemma 5.4 + 5.6 pipeline with scaled BFS distances."""
+    """The Lemma 5.4 + 5.6 pipeline with scaled BFS distances.
+
+    The merge, closure and completion run in integer units of 1/U (see
+    :mod:`repro.approx.rounding`), so they are Theorem 1's own closure
+    and completion; lengths become exact Fractions on the wire and in
+    the returned tables.
+    """
     k = len(landmarks)
     with net.ledger.phase(phase):
         if k == 0:
             return LandmarkDistances([], [], [], [])
+        unit = scales[0].unit  # the same U on every scale
+        top = scales[-1]
+        # A completed distance chains at most k scaled BFS lengths.
+        if k * top.units(top.hop_budget) >= INF:
+            raise ValueError(
+                f"{k} landmarks overflow the integer length units "
+                f"(U={unit}); use a coarser epsilon or smaller weights")
         direct_from = [[INF] * net.n for _ in range(k)]
         direct_to = [[INF] * net.n for _ in range(k)]
         for scale in scales:
@@ -65,52 +88,37 @@ def compute_landmark_distances_weighted(
                 avoid_edges=avoid_edges, delay=scale.delay,
                 phase=f"kBFS-bwd(d={scale.d})")
             for a in range(k):
-                row_f, row_b = fwd[a], bwd[a]
-                out_f, out_b = direct_from[a], direct_to[a]
-                for v in range(net.n):
-                    if row_f[v] < INF:
-                        length = scale.length(row_f[v])
-                        if length < out_f[v]:
-                            out_f[v] = length
-                    if row_b[v] < INF:
-                        length = scale.length(row_b[v])
-                        if length < out_b[v]:
-                            out_b[v] = length
+                _merge_scaled(direct_from[a], fwd[a], scale.mu_units)
+                _merge_scaled(direct_to[a], bwd[a], scale.mu_units)
 
         # Broadcast the |L|² pair estimates (landmark l_b knows its
         # merged distance *from* every l_a) and close locally.
         messages: Dict[int, list] = {}
         for b, l_b in enumerate(landmarks):
             messages[l_b] = [
-                ("pair", a, b, direct_from[a][l_b]) for a in range(k)
+                ("pair", a, b, to_length(direct_from[a][l_b], unit))
+                for a in range(k)
             ]
         records = broadcast_messages(net, tree, messages,
                                      phase="pair-broadcast(L2.4)")
         pair = [[INF] * k for _ in range(k)]
         for _, payload in records:
             _, a, b, value = payload
-            pair[a][b] = value
-        closure = landmark_closure(pair)  # values already lengths
+            pair[a][b] = to_units(value, unit)
+        closure = landmark_closure(pair)
+        from_landmark, to_landmark = dispatch(
+            "landmark_completion", net, closure=closure,
+            from_len=direct_from, to_len=direct_to)
 
-        from_landmark = [[INF] * net.n for _ in range(k)]
-        to_landmark = [[INF] * net.n for _ in range(k)]
-        for v in range(net.n):
-            for a in range(k):
-                best_f = direct_from[a][v]
-                best_t = direct_to[a][v]
-                for mid in range(k):
-                    if closure[a][mid] < INF and direct_from[mid][v] < INF:
-                        candidate = closure[a][mid] + direct_from[mid][v]
-                        if candidate < best_f:
-                            best_f = candidate
-                    if direct_to[mid][v] < INF and closure[mid][a] < INF:
-                        candidate = direct_to[mid][v] + closure[mid][a]
-                        if candidate < best_t:
-                            best_t = candidate
-                from_landmark[a][v] = clamp_inf(best_f)
-                to_landmark[a][v] = clamp_inf(best_t)
-        return LandmarkDistances(list(landmarks), closure,
-                                 from_landmark, to_landmark)
+        def lengths(rows: List[List[int]]) -> List[list]:
+            return [[to_length(x, unit) for x in row] for row in rows]
+
+        closure_lengths = lengths(closure)
+        for a in range(k):
+            closure_lengths[a][a] = 0
+        return LandmarkDistances(list(landmarks), closure_lengths,
+                                 lengths(from_landmark),
+                                 lengths(to_landmark))
 
 
 def long_detour_lengths_weighted(
