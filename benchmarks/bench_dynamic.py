@@ -22,14 +22,17 @@ Two families measure what the dynamic subsystem buys and costs:
 Both families verify answers against the centralized oracle before any
 number is reported — a wrong answer exits non-zero regardless of speed.
 
-Gate (used by the CI ``dynamic-smoke`` step)::
+Gate (used by the CI ``dynamic-smoke`` step; the rule table is
+:data:`RULES`)::
 
     python benchmarks/bench_dynamic.py --quick \
         --json BENCH_dynamic.json \
-        --compare benchmarks/BENCH_dynamic.json --tolerance 0.25
+        --compare benchmarks/BENCH_dynamic.json
 
 * ``incremental-invalidation`` must hold the absolute >= 5x floor and
-  not regress more than ``tolerance`` below its committed ratio;
+  not regress more than the shared tolerance below its committed
+  ratio (compared only against a baseline of the same ``--quick``
+  mode);
 * ``storm-degraded`` is gated on its absolute contract only (served
   ratio, stale > 0, p95 ceiling, convergence) — wall-clock ratios of
   a chaos run are not portable enough to baseline.
@@ -37,23 +40,14 @@ Gate (used by the CI ``dynamic-smoke`` step)::
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import pathlib
-import platform as platform_mod
-import sys
 import time
-from contextlib import contextmanager
-from typing import Dict, List
+from typing import Dict
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from _util import Rule, quiet_gc, require, run
 
-from repro.dynamic import MutationStream, run_chaos  # noqa: E402
-from repro.graphs.generators import random_instance  # noqa: E402
-from repro.serve import (  # noqa: E402
+from repro.dynamic import MutationStream, run_chaos
+from repro.graphs.generators import random_instance
+from repro.serve import (
     Query,
     ShardedQueryService,
     verify_against_centralized,
@@ -69,18 +63,15 @@ INCREMENTAL_FAMILY = "incremental-invalidation"
 MAX_STORM_P95_MS = 75.0
 STORM_FAMILY = "storm-degraded"
 
-
-@contextmanager
-def _quiet_gc():
-    """Keep collector pauses out of the timed regions."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+RULES = (
+    Rule("ratio", "speedup", names=(INCREMENTAL_FAMILY,), same_mode=True),
+    Rule("floor", "speedup", MIN_INCREMENTAL_SPEEDUP,
+         names=(INCREMENTAL_FAMILY,)),
+    # At least one stale answer: the staleness budget did real work.
+    Rule("floor", "stale", 1, names=(STORM_FAMILY,)),
+    Rule("ceiling", "p95_ms", MAX_STORM_P95_MS, names=(STORM_FAMILY,)),
+    Rule("true", "converged", names=(STORM_FAMILY,)),
+)
 
 
 def _probe(inst) -> Query:
@@ -106,7 +97,7 @@ def measure_incremental(quick: bool) -> Dict[str, object]:
     target = instances[0]
     burst = stream.storm(target, fraction=0.10)
 
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         result = service.apply_mutations(target.name, burst)
         current = {inst.name: inst for inst in instances}
@@ -124,7 +115,7 @@ def measure_incremental(quick: bool) -> Dict[str, object]:
 
     # Status quo: no epochs, no scoping — every oracle is rebuilt
     # against the new topology.
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         cold = ShardedQueryService(list(current.values()), shards=2,
                                    capacity=count, solver="theorem1",
@@ -200,18 +191,18 @@ def measure_storm(quick: bool) -> Dict[str, object]:
     }
 
 
-def measure_all(quick: bool) -> Dict[str, dict]:
-    return {
+def measure(quick: bool) -> Dict[str, dict]:
+    return {"families": {
         INCREMENTAL_FAMILY: measure_incremental(quick),
         STORM_FAMILY: measure_storm(quick),
-    }
+    }}
 
 
-def render_report(families: Dict[str, dict]) -> str:
+def render(sections: Dict[str, dict]) -> str:
     from repro.analysis import format_records
 
     records = [{"family": name, **data}
-               for name, data in families.items()]
+               for name, data in sections["families"].items()]
     return format_records(
         records,
         ["family", "n", "instances", "mutations_applied", "speedup",
@@ -221,57 +212,6 @@ def render_report(families: Dict[str, dict]) -> str:
     )
 
 
-def environment_info() -> Dict[str, str]:
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in CI
-        numpy_version = "absent"
-    return {
-        "python_version": platform_mod.python_version(),
-        "numpy_version": numpy_version,
-        "platform": platform_mod.platform(),
-    }
-
-
-def check_against_baseline(families: Dict[str, dict], baseline: dict,
-                           tolerance: float,
-                           quick: bool) -> List[str]:
-    """Regression messages (empty when the gate passes)."""
-    problems = []
-    incremental = families.get(INCREMENTAL_FAMILY)
-    if incremental is not None:
-        if incremental["speedup"] < MIN_INCREMENTAL_SPEEDUP:
-            problems.append(
-                f"{INCREMENTAL_FAMILY}: speedup "
-                f"{incremental['speedup']:.2f}x is below the absolute "
-                f"{MIN_INCREMENTAL_SPEEDUP:.0f}x floor")
-        base = baseline.get("families", {}).get(INCREMENTAL_FAMILY)
-        same_mode = bool(baseline.get("quick")) == quick
-        if base is not None and same_mode:
-            floor = base["speedup"] * (1.0 - tolerance)
-            if incremental["speedup"] < floor:
-                problems.append(
-                    f"{INCREMENTAL_FAMILY}: speedup "
-                    f"{incremental['speedup']:.2f}x fell below "
-                    f"{floor:.2f}x (baseline {base['speedup']:.2f}x "
-                    f"- {tolerance:.0%} tolerance)")
-    storm = families.get(STORM_FAMILY)
-    if storm is not None:
-        if storm["stale"] < 1:
-            problems.append(
-                f"{STORM_FAMILY}: no stale answers served — the "
-                "staleness budget was never exercised")
-        if storm["p95_ms"] > MAX_STORM_P95_MS:
-            problems.append(
-                f"{STORM_FAMILY}: served p95 {storm['p95_ms']:.2f}ms "
-                f"exceeds the {MAX_STORM_P95_MS:.0f}ms SLO ceiling")
-        if not storm["converged"]:
-            problems.append(f"{STORM_FAMILY}: post-quiesce answers "
-                            "diverged from from-scratch solves")
-    return problems
-
-
 # -- pytest-benchmark entry point --------------------------------------------
 
 
@@ -279,58 +219,17 @@ def bench_dynamic_tier(benchmark):
     """Quick-mode dynamic families (see module doc)."""
     from _util import report
 
-    families = benchmark.pedantic(lambda: measure_all(quick=True),
+    sections = benchmark.pedantic(lambda: measure(quick=True),
                                   rounds=1, iterations=1)
-    report("dynamic", render_report(families))
-    assert (families[INCREMENTAL_FAMILY]["speedup"]
-            >= MIN_INCREMENTAL_SPEEDUP), families[INCREMENTAL_FAMILY]
-    assert families[STORM_FAMILY]["stale"] >= 1, families[STORM_FAMILY]
-    assert families[STORM_FAMILY]["converged"]
+    report("dynamic", render(sections))
+    require(sections, RULES)
 
 
 # -- CLI (CI dynamic-smoke gate) ----------------------------------------------
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workloads")
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--compare", type=pathlib.Path, default=None,
-                        help="committed baseline JSON to gate against")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative speedup regression")
-    args = parser.parse_args(argv)
-
-    families = measure_all(quick=args.quick)
-    print(render_report(families))
-
-    payload = {
-        "bench": "dynamic",
-        "quick": bool(args.quick),
-        "min_incremental_speedup": MIN_INCREMENTAL_SPEEDUP,
-        "max_storm_p95_ms": MAX_STORM_P95_MS,
-        "tolerance": args.tolerance,
-        "environment": environment_info(),
-        "families": families,
-    }
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-
-    if args.compare is not None:
-        baseline = json.loads(args.compare.read_text())
-        problems = check_against_baseline(
-            families, baseline, args.tolerance, bool(args.quick))
-        if problems:
-            for line in problems:
-                print(f"DYNAMIC REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"dynamic gate ok (vs {args.compare}, "
-              f"tolerance {args.tolerance:.0%})")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run(
+        "dynamic", __doc__, measure, render, RULES, quick=True,
+        header={"min_incremental_speedup": MIN_INCREMENTAL_SPEEDUP,
+                "max_storm_p95_ms": MAX_STORM_P95_MS}))

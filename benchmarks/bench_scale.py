@@ -34,13 +34,14 @@ the high-water mark in ``repro trace summary``, and gates it against
 an absolute ceiling — the memory diet's end-to-end "does n = 65536
 still fit" check.
 
-Gates (the CI ``perf-gate`` job runs ``--quick``)::
+Gates (used by the ``perf-gate`` CI job; the rule table is
+:data:`RULES`)::
 
     python benchmarks/bench_scale.py --json BENCH_scale.json \
-        --compare benchmarks/BENCH_scale.json --tolerance 0.25
+        --compare benchmarks/BENCH_scale.json
 
 * diet ratios must hold the absolute floors (1.9x / 1.5x) and stay
-  within the plain tolerance of the committed baseline;
+  within the plain shared tolerance of the committed baseline;
 * the fan-out speedup must hold its CPU-tier floor, and is compared
   against the baseline only when both runs had ≥ 2 CPUs;
 * peak RSS must stay under ``MAX_PEAK_RSS_MIB``;
@@ -49,28 +50,23 @@ Gates (the CI ``perf-gate`` job runs ``--quick``)::
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import os
-import pathlib
-import platform as platform_mod
 import sys
 import time
-from contextlib import contextmanager
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from _util import Rule, bound_for, quiet_gc, require, run
 
-from repro.congest.multisource import multi_source_hop_bfs  # noqa: E402
-from repro.congest.topology import TopologyArrays  # noqa: E402
-from repro.core.rpaths import solve_rpaths  # noqa: E402
-from repro.graphs import expander_instance  # noqa: E402
+from repro.congest.multisource import multi_source_hop_bfs
+from repro.congest.topology import TopologyArrays
+from repro.core.rpaths import solve_rpaths
+from repro.graphs import expander_instance
 
-#: Absolute diet-ratio floors (int64-equivalent bytes / exported bytes).
-MIN_DIET_RATIO = {"diet-32768": 1.9, "diet-65536": 1.5}
+#: Absolute diet-ratio floors (int64-equivalent bytes / exported bytes);
+#: ``diet-16384`` is the pytest entry's smaller family.
+MIN_DIET_RATIO = {"diet-16384": 1.9, "diet-32768": 1.9, "diet-65536": 1.5}
 
 SOLVE_FAMILY = "solve-expander-65536"
 FANOUT_FAMILY = "fanout-kbfs-32768"
@@ -83,26 +79,23 @@ FANOUT_WIDTH = 4
 #: fits a laptop" line, not a tight bound.
 MAX_PEAK_RSS_MIB = 3072
 
+#: CPU-conditional fan-out speedup floors, ``{min_cpus: floor}``
+#: (report-only on a single CPU).
+FANOUT_FLOORS = {4: 2.0, 2: 1.2}
 
-def fanout_floor(cpus: int) -> Optional[float]:
-    """CPU-conditional speedup floor (None = report-only)."""
-    if cpus >= 4:
-        return 2.0
-    if cpus >= 2:
-        return 1.2
-    return None
-
-
-@contextmanager
-def _quiet_gc():
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+RULES = (
+    *(Rule("floor", "ratio", floor, names=(name,))
+      for name, floor in MIN_DIET_RATIO.items()),
+    # Diet ratios are deterministic byte math: plain tolerance.
+    Rule("ratio", "ratio", names=tuple(MIN_DIET_RATIO)),
+    Rule("floor", "speedup_fanout", FANOUT_FLOORS, names=(FANOUT_FAMILY,)),
+    # Timing ratios only compare across runs that could both actually
+    # overlap work (>= 2 CPUs on each side).
+    Rule("ratio", "speedup_fanout", names=(FANOUT_FAMILY,),
+         tolerance_x=2.0, min_cpus=2),
+    Rule("ceiling", "self_mib", MAX_PEAK_RSS_MIB, section="peak_rss",
+         names=None),
+)
 
 
 def _phases(ledger) -> List[dict]:
@@ -135,12 +128,12 @@ def measure_solve(instance) -> dict:
     """Whole solve at n=65536: serial vs parallel=2, bit-identity
     asserted, speedup report-only (Amdahl: only the landmark kBFS
     pair fans out)."""
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         serial = solve_rpaths(instance, seed=7, fabric="vector",
                               landmark_c=0.05)
         serial_s = time.perf_counter() - start
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         fanned = solve_rpaths(instance, seed=7, fabric="vector",
                               landmark_c=0.05, parallel=2)
@@ -173,7 +166,7 @@ def measure_fanout(instance, chunks: int = 8, chunk_size: int = 32,
                for c in range(chunks)]
 
     serial_net = instance.build_network(fabric="vector")
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         serial = [multi_source_hop_bfs(serial_net, chunk,
                                        hop_limit=hop_limit,
@@ -183,7 +176,7 @@ def measure_fanout(instance, chunks: int = 8, chunk_size: int = 32,
 
     fanned_net = instance.build_network(fabric="vector")
     with sharedmem.publish_topology(topo) as pub:
-        with _quiet_gc():
+        with quiet_gc():
             start = time.perf_counter()
             fanned = sharedmem.fanout_kbfs(
                 fanned_net, pub, FANOUT_WIDTH,
@@ -207,6 +200,10 @@ def measure_fanout(instance, chunks: int = 8, chunk_size: int = 32,
         "speedup_fanout": round(serial_s / fanout_s, 3),
         "identical": True,
     }
+
+
+def measure() -> Dict[str, dict]:
+    return {"families": measure_families(), "peak_rss": measure_peak_rss()}
 
 
 def measure_families() -> Dict[str, dict]:
@@ -244,11 +241,12 @@ def measure_peak_rss() -> dict:
 # -- reporting / gating -------------------------------------------------------
 
 
-def render_report(families: Dict[str, dict], peak_rss: dict) -> str:
+def render(sections: Dict[str, dict]) -> str:
     from repro.analysis import format_records
 
+    families, peak_rss = sections["families"], sections["peak_rss"]
     diets = [{"family": name, **families[name]}
-             for name in sorted(MIN_DIET_RATIO)]
+             for name in sorted(MIN_DIET_RATIO) if name in families]
     blocks = [format_records(
         diets,
         ["family", "n", "m", "diet_bytes", "int64_bytes", "ratio",
@@ -267,7 +265,7 @@ def render_report(families: Dict[str, dict], peak_rss: dict) -> str:
         ["family", "n", "chunks", "width", "cpus", "serial_seconds",
          "fanout_seconds", "speedup_fanout", "identical"],
         title="shared-memory fan-out — independent kBFS chunks"))
-    floor = fanout_floor(fanout["cpus"])
+    floor = bound_for(FANOUT_FLOORS, fanout)
     blocks.append(
         f"fan-out gate on {fanout['cpus']} cpu(s): "
         + (f">= {floor}x" if floor else "report-only (needs >= 2)")
@@ -275,72 +273,6 @@ def render_report(families: Dict[str, dict], peak_rss: dict) -> str:
           f"children {peak_rss['children_mib']} MiB "
           f"(ceiling {MAX_PEAK_RSS_MIB} MiB)")
     return "\n\n".join(blocks)
-
-
-def environment_info() -> Dict[str, object]:
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in CI
-        numpy_version = "absent"
-    return {
-        "python_version": platform_mod.python_version(),
-        "numpy_version": numpy_version,
-        "platform": platform_mod.platform(),
-        "cpus": os.cpu_count() or 1,
-    }
-
-
-def check_against_baseline(families: Dict[str, dict], peak_rss: dict,
-                           baseline: dict,
-                           tolerance: float) -> List[str]:
-    """Regression messages (empty when the gate passes)."""
-    problems: List[str] = []
-    base = baseline.get("families", {})
-    # Diet ratios are deterministic byte math: plain tolerance.
-    for name, floor in sorted(MIN_DIET_RATIO.items()):
-        row = families.get(name)
-        if row is None:
-            problems.append(f"{name}: family missing from this run")
-            continue
-        if row["ratio"] < floor:
-            problems.append(
-                f"{name}: diet ratio {row['ratio']:.2f}x is below the "
-                f"absolute {floor:.1f}x floor")
-        old = base.get(name)
-        if old and row["ratio"] < old["ratio"] * (1.0 - tolerance):
-            problems.append(
-                f"{name}: diet ratio {row['ratio']:.2f}x fell below "
-                f"baseline {old['ratio']:.2f}x - {tolerance:.0%}")
-    fanout = families.get(FANOUT_FAMILY)
-    if fanout is None:
-        problems.append(f"{FANOUT_FAMILY}: family missing")
-    else:
-        floor = fanout_floor(fanout["cpus"])
-        if floor is not None and fanout["speedup_fanout"] < floor:
-            problems.append(
-                f"{FANOUT_FAMILY}: speedup "
-                f"{fanout['speedup_fanout']:.2f}x is below the "
-                f"{floor:.1f}x floor for {fanout['cpus']} cpus")
-        old = base.get(FANOUT_FAMILY)
-        # Timing ratios only compare across runs that could both
-        # actually overlap work (>= 2 CPUs on each side).
-        if (old and old.get("cpus", 1) >= 2 and fanout["cpus"] >= 2):
-            ratio_tolerance = min(2.0 * tolerance, 0.9)
-            limit = old["speedup_fanout"] * (1.0 - ratio_tolerance)
-            if fanout["speedup_fanout"] < limit:
-                problems.append(
-                    f"{FANOUT_FAMILY}: speedup "
-                    f"{fanout['speedup_fanout']:.2f}x fell below "
-                    f"{limit:.2f}x (baseline "
-                    f"{old['speedup_fanout']:.2f}x)")
-    if SOLVE_FAMILY not in families:
-        problems.append(f"{SOLVE_FAMILY}: family missing")
-    if peak_rss["self_mib"] > MAX_PEAK_RSS_MIB:
-        problems.append(
-            f"peak RSS {peak_rss['self_mib']:.0f} MiB exceeds the "
-            f"{MAX_PEAK_RSS_MIB} MiB ceiling")
-    return problems
 
 
 # -- pytest-benchmark entry point ---------------------------------------------
@@ -356,76 +288,15 @@ def bench_scale_memory_diet(benchmark):
         lambda: measure_diet(instance),
         rounds=1, iterations=1)
     report("scale", json.dumps(row, indent=2))
-    assert row["ratio"] >= 1.9, row
+    require({"families": {"diet-16384": row}}, RULES)
 
 
 # -- CLI (CI perf gate) -------------------------------------------------------
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--compare", type=pathlib.Path, default=None,
-                        help="committed baseline JSON to gate against")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative regression (doubled "
-                             "for timing ratios, plain for the "
-                             "deterministic byte ratios)")
-    parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode (accepted for symmetry "
-                             "with the other benches; the family set "
-                             "never shrinks — the scale gate IS the "
-                             "n=65536 run)")
-    parser.add_argument("--trace", type=pathlib.Path, default=None,
-                        help="record spans into this JSONL trace "
-                             "directory (read back with "
-                             "'repro trace summary' — the peak-RSS "
-                             "gauge lands there)")
-    args = parser.parse_args(argv)
-
-    if args.trace is not None:
-        from repro import telemetry
-        telemetry.enable_tracing(args.trace)
-        telemetry.write_meta(args.trace, bench="scale",
-                             quick=args.quick)
-
-    families = measure_families()
-    peak_rss = measure_peak_rss()
-
-    if args.trace is not None:
-        from repro import telemetry
-        telemetry.flush(args.trace)
-        telemetry.disable_tracing()
-        print(f"trace: {args.trace}")
-    print(render_report(families, peak_rss))
-
-    payload = {
-        "bench": "scale",
-        "min_diet_ratio": MIN_DIET_RATIO,
-        "fanout_width": FANOUT_WIDTH,
-        "max_peak_rss_mib": MAX_PEAK_RSS_MIB,
-        "tolerance": args.tolerance,
-        "environment": environment_info(),
-        "families": families,
-        "peak_rss": peak_rss,
-    }
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-
-    if args.compare is not None:
-        baseline = json.loads(args.compare.read_text())
-        problems = check_against_baseline(families, peak_rss,
-                                          baseline, args.tolerance)
-        if problems:
-            for line in problems:
-                print(f"PERF REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"perf gate ok (vs {args.compare}, "
-              f"tolerance {args.tolerance:.0%})")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run(
+        "scale", __doc__, measure, render, RULES, trace=True,
+        header={"min_diet_ratio": MIN_DIET_RATIO,
+                "fanout_width": FANOUT_WIDTH,
+                "max_peak_rss_mib": MAX_PEAK_RSS_MIB}))

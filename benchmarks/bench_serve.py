@@ -31,45 +31,38 @@ Every family verifies every answer against the centralized oracle
 before any throughput number is reported — a mismatch exits non-zero
 regardless of speed.
 
-Gate (used by the CI ``serve-smoke`` step)::
+Gate (used by the CI ``serve-smoke`` step; the rule table is
+:data:`RULES`)::
 
     python benchmarks/bench_serve.py --quick \
         --json BENCH_serve.json \
-        --compare benchmarks/BENCH_serve.json --tolerance 0.25
+        --compare benchmarks/BENCH_serve.json
 
 * ``oracle-hit`` must hold the absolute >= 20x speedup floor;
 * the batched families must not drop below 1x (batching must never
   lose to the per-query path);
-* any family's speedup more than ``tolerance`` below its committed
-  baseline ratio fails the gate.  Ratios, not absolute queries/sec,
-  are compared: they are stable across runner hardware.  Baselines
-  are mode-stamped (``--quick`` vs. full); comparing across modes
-  enforces only the absolute floors.
+* ``daemon-loop`` must hold its >= 5x floor and its p95 ceiling;
+* any family's speedup more than the shared tolerance below its
+  committed baseline ratio fails the gate.  Ratios, not absolute
+  queries/sec, are compared: they are stable across runner hardware.
+  Baselines are mode-stamped (``--quick`` vs. full); comparing across
+  modes enforces only the absolute floors and ceilings.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import pathlib
-import platform as platform_mod
-import sys
 import time
-from contextlib import contextmanager
-from typing import Dict, List
+from typing import Dict
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+from _util import Rule, quiet_gc, require, run
 
-from repro.congest import bfs_distances  # noqa: E402
-from repro.core.rpaths import solve_rpaths  # noqa: E402
-from repro.graphs.generators import (  # noqa: E402
+from repro.congest import bfs_distances
+from repro.core.rpaths import solve_rpaths
+from repro.graphs.generators import (
     path_with_chords_instance,
     random_instance,
 )
-from repro.serve import (  # noqa: E402
+from repro.serve import (
     BatchPlanner,
     ReplacementPathOracle,
     ServeDaemon,
@@ -89,6 +82,7 @@ ORACLE_FAMILY = "oracle-hit"
 
 #: Batched planning must never lose to the per-query fabric path.
 MIN_BATCH_SPEEDUP = 1.0
+BATCH_FAMILIES = ("zipf-batched", "adversarial-batched")
 
 #: Warm daemon vs. cold pool_map serving (the ISSUE acceptance
 #: criterion for the daemon tier): sustained closed-loop QPS must be
@@ -100,19 +94,13 @@ DAEMON_FAMILY = "daemon-loop"
 #: the committed latency SLO the CI smoke step also enforces.
 MAX_DAEMON_P95_MS = 75.0
 
-
-@contextmanager
-def _quiet_gc():
-    """Keep collector pauses out of the timed regions (same rationale
-    as bench_fabric: pauses land on whichever side is being timed)."""
-    gc.collect()
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+RULES = (
+    Rule("ratio", "speedup", same_mode=True),
+    Rule("floor", "speedup", MIN_ORACLE_SPEEDUP, names=(ORACLE_FAMILY,)),
+    Rule("floor", "speedup", MIN_BATCH_SPEEDUP, names=BATCH_FAMILIES),
+    Rule("floor", "speedup", MIN_DAEMON_SPEEDUP, names=(DAEMON_FAMILY,)),
+    Rule("ceiling", "p95_ms", MAX_DAEMON_P95_MS, names=(DAEMON_FAMILY,)),
+)
 
 
 def _verify_or_die(name: str, instance, answers) -> None:
@@ -136,7 +124,7 @@ def measure_oracle_hit(quick: bool) -> Dict[str, object]:
     build_time = time.perf_counter() - build_start
 
     stream = generate_workload("uniform", instance, queries, seed=2)
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         answers = [oracle.answer(q) for q in stream]
         serve_time = time.perf_counter() - start
@@ -154,7 +142,7 @@ def measure_oracle_hit(quick: bool) -> Dict[str, object]:
 
     # The status quo: every query re-runs the full pipeline.  A couple
     # of timed solves pin down the per-query rate.
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         for i in range(solves):
             solve_rpaths(instance, seed=i)
@@ -202,7 +190,7 @@ def measure_batched(kind: str, quick: bool,
         oracle = ReplacementPathOracle.build(instance,
                                              solver="centralized")
         planner = BatchPlanner(oracle, fabric="vector")
-        with _quiet_gc():
+        with quiet_gc():
             start = time.perf_counter()
             answers, plan = planner.answer_batch(stream)
             batched_time = min(batched_time,
@@ -214,7 +202,7 @@ def measure_batched(kind: str, quick: bool,
     unbatched_time = float("inf")
     for _ in range(repeats):
         net = instance.build_network(fabric="fast")
-        with _quiet_gc():
+        with quiet_gc():
             start = time.perf_counter()
             for q in stream:
                 bfs_distances(net, q.s,
@@ -269,7 +257,7 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
                                solver="theorem1", build_seed=0)
     batch_size = (len(queries) + batches - 1) // batches
     cold_answers = []
-    with _quiet_gc():
+    with quiet_gc():
         start = time.perf_counter()
         for b in range(batches):
             chunk = queries[b * batch_size:(b + 1) * batch_size]
@@ -289,7 +277,7 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
         frontend = ServeFrontend(daemon, max_queue=512,
                                  max_inflight=128)
         try:
-            with _quiet_gc():
+            with quiet_gc():
                 results, load = run_load(
                     frontend, queries, mode="closed",
                     concurrency=concurrency)
@@ -325,20 +313,20 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
     }
 
 
-def measure_all(quick: bool) -> Dict[str, dict]:
-    return {
+def measure(quick: bool) -> Dict[str, dict]:
+    return {"families": {
         ORACLE_FAMILY: measure_oracle_hit(quick),
         "zipf-batched": measure_batched("zipf", quick),
         "adversarial-batched": measure_batched("adversarial", quick),
         DAEMON_FAMILY: measure_daemon_loop(quick),
-    }
+    }}
 
 
-def render_report(families: Dict[str, dict]) -> str:
+def render(sections: Dict[str, dict]) -> str:
     from repro.analysis import format_records
 
     records = [{"family": name, **data}
-               for name, data in families.items()]
+               for name, data in sections["families"].items()]
     return format_records(
         records,
         ["family", "n", "queries", "qps", "baseline_qps", "speedup",
@@ -348,65 +336,6 @@ def render_report(families: Dict[str, dict]) -> str:
     )
 
 
-def environment_info() -> Dict[str, str]:
-    try:
-        import numpy
-        numpy_version = numpy.__version__
-    except ImportError:  # pragma: no cover - numpy is baked in CI
-        numpy_version = "absent"
-    return {
-        "python_version": platform_mod.python_version(),
-        "numpy_version": numpy_version,
-        "platform": platform_mod.platform(),
-    }
-
-
-def check_against_baseline(families: Dict[str, dict], baseline: dict,
-                           tolerance: float,
-                           quick: bool) -> List[str]:
-    """Regression messages (empty when the gate passes)."""
-    problems = []
-    same_mode = bool(baseline.get("quick")) == quick
-    if same_mode:
-        for name, base in baseline.get("families", {}).items():
-            now = families.get(name)
-            if now is None:
-                problems.append(f"{name}: family missing from this "
-                                "run")
-                continue
-            floor = base["speedup"] * (1.0 - tolerance)
-            if now["speedup"] < floor:
-                problems.append(
-                    f"{name}: speedup {now['speedup']:.2f}x fell "
-                    f"below {floor:.2f}x (baseline "
-                    f"{base['speedup']:.2f}x - {tolerance:.0%} "
-                    "tolerance)")
-    oracle = families.get(ORACLE_FAMILY)
-    if oracle is not None and oracle["speedup"] < MIN_ORACLE_SPEEDUP:
-        problems.append(
-            f"{ORACLE_FAMILY}: speedup {oracle['speedup']:.1f}x is "
-            f"below the absolute {MIN_ORACLE_SPEEDUP:.0f}x floor")
-    for name, data in families.items():
-        if name in (ORACLE_FAMILY, DAEMON_FAMILY):
-            continue
-        if data["speedup"] < MIN_BATCH_SPEEDUP:
-            problems.append(
-                f"{name}: batched speedup {data['speedup']:.2f}x is "
-                f"below the absolute {MIN_BATCH_SPEEDUP:.1f}x floor")
-    daemon = families.get(DAEMON_FAMILY)
-    if daemon is not None:
-        if daemon["speedup"] < MIN_DAEMON_SPEEDUP:
-            problems.append(
-                f"{DAEMON_FAMILY}: warm-daemon speedup "
-                f"{daemon['speedup']:.2f}x is below the absolute "
-                f"{MIN_DAEMON_SPEEDUP:.0f}x floor")
-        if daemon["p95_ms"] > MAX_DAEMON_P95_MS:
-            problems.append(
-                f"{DAEMON_FAMILY}: p95 {daemon['p95_ms']:.2f}ms "
-                f"exceeds the {MAX_DAEMON_P95_MS:.0f}ms SLO ceiling")
-    return problems
-
-
 # -- pytest-benchmark entry point --------------------------------------------
 
 
@@ -414,62 +343,19 @@ def bench_serve_tier(benchmark):
     """Quick-mode serving families (see module doc)."""
     from _util import report
 
-    families = benchmark.pedantic(lambda: measure_all(quick=True),
+    sections = benchmark.pedantic(lambda: measure(quick=True),
                                   rounds=1, iterations=1)
-    report("serve", render_report(families))
-    assert families[ORACLE_FAMILY]["speedup"] >= MIN_ORACLE_SPEEDUP
-    assert (families[DAEMON_FAMILY]["speedup"]
-            >= MIN_DAEMON_SPEEDUP), families[DAEMON_FAMILY]
-    for name, data in families.items():
-        if name not in (ORACLE_FAMILY, DAEMON_FAMILY):
-            assert data["speedup"] >= MIN_BATCH_SPEEDUP, (name, data)
+    report("serve", render(sections))
+    require(sections, RULES)
 
 
 # -- CLI (CI serve-smoke gate) -----------------------------------------------
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workloads")
-    parser.add_argument("--json", type=pathlib.Path, default=None,
-                        help="write the machine-readable report here")
-    parser.add_argument("--compare", type=pathlib.Path, default=None,
-                        help="committed baseline JSON to gate against")
-    parser.add_argument("--tolerance", type=float, default=0.25,
-                        help="allowed relative speedup regression")
-    args = parser.parse_args(argv)
-
-    families = measure_all(quick=args.quick)
-    print(render_report(families))
-
-    payload = {
-        "bench": "serve",
-        "quick": bool(args.quick),
-        "min_oracle_speedup": MIN_ORACLE_SPEEDUP,
-        "min_batch_speedup": MIN_BATCH_SPEEDUP,
-        "min_daemon_speedup": MIN_DAEMON_SPEEDUP,
-        "max_daemon_p95_ms": MAX_DAEMON_P95_MS,
-        "tolerance": args.tolerance,
-        "environment": environment_info(),
-        "families": families,
-    }
-    if args.json is not None:
-        args.json.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.json}")
-
-    if args.compare is not None:
-        baseline = json.loads(args.compare.read_text())
-        problems = check_against_baseline(
-            families, baseline, args.tolerance, bool(args.quick))
-        if problems:
-            for line in problems:
-                print(f"SERVE REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"serve gate ok (vs {args.compare}, "
-              f"tolerance {args.tolerance:.0%})")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run(
+        "serve", __doc__, measure, render, RULES, quick=True,
+        header={"min_oracle_speedup": MIN_ORACLE_SPEEDUP,
+                "min_batch_speedup": MIN_BATCH_SPEEDUP,
+                "min_daemon_speedup": MIN_DAEMON_SPEEDUP,
+                "max_daemon_p95_ms": MAX_DAEMON_P95_MS}))
