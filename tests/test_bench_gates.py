@@ -44,36 +44,10 @@ def _edit(payload, edits):
             node[key] = value
 
 
-def _label(problem):
-    head = problem.split(":")[0]
-    if head.startswith("peak RSS"):
-        return "peak_rss"
-    return {"oracle-build": "oracle_build"}.get(head, head)
-
-
-def _legacy_check(bench, module, run, baseline):
-    families = run["families"]
-    if bench == "fabric":
-        return module.check_against_baseline(
-            families, baseline, 0.25, run["vector_families"])
-    if bench == "solver":
-        return module.check_against_baseline(
-            families, baseline, 0.25, run["oracle_build"])
-    if bench == "scale":
-        return module.check_against_baseline(
-            families, run["peak_rss"], baseline, 0.25)
-    return module.check_against_baseline(
-        families, baseline, 0.25, bool(run.get("quick")))
-
-
 def flagged(bench, run, baseline):
     """Sorted labels (family, or single-row section) the gate flags."""
-    module = _module(bench)
-    if hasattr(module, "RULES"):
-        problems = _util.check(run, module.RULES, baseline)
-    else:
-        problems = _legacy_check(bench, module, run, baseline)
-    return sorted({_label(p) for p in problems})
+    problems = _util.check(run, _module(bench).RULES, baseline)
+    return sorted({p.split(":")[0] for p in problems})
 
 
 @pytest.mark.parametrize("bench", BENCHES)
