@@ -149,7 +149,7 @@ class Rule:
     Families are selected from the run for bound rules and from the
     baseline for ratio rules; a family named by a rule but absent from
     the run is not a violation by itself — :func:`check` flags every
-    baseline family the run lost.
+    family the run lost from a baseline section that a rule reads.
     """
 
     kind: str
@@ -185,19 +185,12 @@ def _rows(rule: Rule, payload: Mapping) -> Dict[str, Mapping]:
 
 
 def _missing(rules, result: Mapping, baseline: Mapping) -> List[str]:
-    problems = []
-    sections = {rule.section: rule.names is None for rule in rules}
-    for section, single_row in sections.items():
-        if section not in baseline:
-            continue
-        if single_row:
-            lost = [] if section in result else [section]
-        else:
-            lost = [name for name in baseline[section]
-                    if name not in result.get(section, {})]
-        problems.extend(f"{name}: family missing from this run"
-                        for name in lost)
-    return problems
+    sections = dict.fromkeys(rule.section for rule in rules
+                             if rule.names is not None)
+    return [f"{name}: family missing from this run"
+            for section in sections
+            for name in baseline.get(section, {})
+            if name not in result.get(section, {})]
 
 
 def _ratio(rule: Rule, result: Mapping, baseline: Mapping) -> List[str]:
@@ -276,10 +269,11 @@ def run(bench: str, doc: str, measure: Callable[..., dict],
     """The CLI every gated bench shares; returns the exit status.
 
     ``measure`` returns the result sections (called with the
-    ``--quick`` flag when ``quick``), ``render`` turns them into the
-    printed table, and ``header`` holds the constants stamped into the
-    JSON ahead of the sections.  Exit 1 when ``--compare`` finds a
-    rule violation.
+    ``--quick`` flag when ``quick``; a bench whose ratios only compare
+    within one mode stamps it as a ``"quick"`` section), ``render``
+    turns them into the printed table, and ``header`` holds the
+    constants stamped into the JSON ahead of the sections.  Exit 1 when
+    ``--compare`` finds a rule violation.
     """
     parser = argparse.ArgumentParser(description=doc)
     parser.add_argument("--json", type=pathlib.Path, default=None,
@@ -309,7 +303,7 @@ def run(bench: str, doc: str, measure: Callable[..., dict],
         print(f"trace: {trace_dir}")
     print(render(sections))
 
-    payload = {"bench": bench, **mode, **header, "tolerance": TOLERANCE,
+    payload = {"bench": bench, **header, "tolerance": TOLERANCE,
                "environment": environment(), **sections}
     if args.json is not None:
         args.json.write_text(json.dumps(payload, indent=2) + "\n")

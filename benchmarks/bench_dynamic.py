@@ -191,8 +191,8 @@ def measure_storm(quick: bool) -> Dict[str, object]:
     }
 
 
-def measure(quick: bool) -> Dict[str, dict]:
-    return {"families": {
+def measure(quick: bool) -> dict:
+    return {"quick": quick, "families": {
         INCREMENTAL_FAMILY: measure_incremental(quick),
         STORM_FAMILY: measure_storm(quick),
     }}

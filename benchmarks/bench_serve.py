@@ -313,8 +313,8 @@ def measure_daemon_loop(quick: bool) -> Dict[str, object]:
     }
 
 
-def measure(quick: bool) -> Dict[str, dict]:
-    return {"families": {
+def measure(quick: bool) -> dict:
+    return {"quick": quick, "families": {
         ORACLE_FAMILY: measure_oracle_hit(quick),
         "zipf-batched": measure_batched("zipf", quick),
         "adversarial-batched": measure_batched("adversarial", quick),
