@@ -189,9 +189,10 @@ def measure_oracle_build(quick: bool) -> dict:
     }
 
 
-def render_report(families: Dict[str, dict],
-                  oracle_build: dict) -> str:
+def render(sections: Dict[str, dict]) -> str:
     from repro.analysis import format_records
+
+    families, oracle_build = sections["families"], sections["oracle_build"]
 
     records = [{"family": name, **{k: v for k, v in data.items()
                                    if k != "solver_kwargs"}}
@@ -213,10 +214,6 @@ def render_report(families: Dict[str, dict],
 def measure(quick: bool) -> Dict[str, dict]:
     return {"families": measure_families(1 if quick else REPEATS),
             "oracle_build": measure_oracle_build(quick)}
-
-
-def render(sections: Dict[str, dict]) -> str:
-    return render_report(sections["families"], sections["oracle_build"])
 
 
 # -- pytest-benchmark entry point -------------------------------------------
