@@ -1,4 +1,4 @@
-"""End-to-end solver throughput: ``solve_rpaths`` across the fabrics.
+"""End-to-end solver throughput: Theorems 1 and 3 across the fabrics.
 
 PR 3's kernel bench (``bench_fabric.py``) measures the covered
 *primitives*; this bench measures what users actually pay: one full
@@ -11,7 +11,8 @@ solve without per-message Python; the measured end-to-end speedups are
 the Amdahl complement of PR 3's per-primitive numbers.
 
 Families (all n ≥ 2048 except the 3-way reference family, which the
-pre-fabric engine could not finish at that size in CI time):
+pre-fabric engine could not finish at that size in CI time, and the
+Theorem 3 family, whose message-lane solve takes seconds at n = 128):
 
 * ``solve-expander-2048`` — the gate family: the acceptance floor
   requires ≥ ``MIN_SOLVER_SPEEDUP``x vector-vs-fast here;
@@ -21,7 +22,10 @@ pre-fabric engine could not finish at that size in CI time):
   segment sweeps) carry real weight;
 * ``solve-expander-256-3way`` — reference vs fast vs vector on one
   instance the reference engine can finish, keeping the historical
-  baseline in the picture.
+  baseline in the picture;
+* ``apx-expander-weighted-128`` — Theorem 3 (``solve_apx_rpaths``,
+  ε = 0.25) on a weighted expander: Lemma 7.5's scale ladder of pruned
+  hop-BFS floods runs as one batch of the vector kernel.
 
 The big families pass ``landmark_c = 0.5``: at the default c = 2 the
 |L|² pair broadcast alone floods ~75M message-hops at n = 2048, which
@@ -29,8 +33,8 @@ the *message* engines cannot finish inside a CI budget (the vector
 schedule kernel handles it in milliseconds — that asymmetry is the
 point, but the gate still needs a finishing baseline).
 
-Every family asserts bit-identical lengths, stage outputs, and ledger
-digests across its fabrics before any throughput is reported.
+Every family asserts bit-identical lengths, stage outputs, and
+per-phase ledgers across its fabrics before any throughput is reported.
 
 Gates (the CI ``perf-gate`` job runs ``--quick``; the rule table is
 :data:`RULES`)::
@@ -38,7 +42,8 @@ Gates (the CI ``perf-gate`` job runs ``--quick``; the rule table is
     python benchmarks/bench_solver.py --json BENCH_solver.json \
         --compare benchmarks/BENCH_solver.json
 
-* every ``solve-*`` family must hold ≥ 5x vector-vs-fast;
+* every family must hold ≥ 5x vector-vs-fast, and the Theorem 3
+  family ≥ 10x;
 * the oracle-build measurement must hold ≥ 2x vector-vs-fast;
 * a measured ratio more than the (doubled — end-to-end runs inherit
   the kernel workloads' memory-bound noise profile) shared tolerance
@@ -56,6 +61,7 @@ from typing import Dict
 
 from _util import Rule, hard_instance, quiet_gc, require, run
 
+from repro.approx.apx_rpaths import solve_apx_rpaths
 from repro.core.rpaths import solve_rpaths
 from repro.graphs import (
     expander_instance,
@@ -66,6 +72,11 @@ from repro.graphs import (
 #: Acceptance floor: end-to-end vector-vs-fast on every solve family.
 MIN_SOLVER_SPEEDUP = 5.0
 GATE_FAMILY = "solve-expander-2048"
+
+#: Acceptance floor: Theorem 3 vector-vs-fast (the batched scale
+#: ladder; one flood per kernel call measured 5.4x).
+MIN_APX_SPEEDUP = 10.0
+APX_FAMILY = "apx-expander-weighted-128"
 
 #: Acceptance floor for the serving tier's oracle-build funnel.
 MIN_BUILD_SPEEDUP = 2.0
@@ -79,6 +90,7 @@ REPEATS = 2
 RULES = (
     Rule("ratio", "speedup_vector", tolerance_x=2.0),
     Rule("floor", "speedup_vector", MIN_SOLVER_SPEEDUP),
+    Rule("floor", "speedup_vector", MIN_APX_SPEEDUP, names=(APX_FAMILY,)),
     Rule("ratio", "speedup_vector", section="oracle_build", names=None,
          tolerance_x=2.0),
     Rule("floor", "speedup_vector", MIN_BUILD_SPEEDUP,
@@ -87,32 +99,33 @@ RULES = (
 
 
 def _families():
-    """(name, instance, solver kwargs, fabrics) per family."""
-    yield (GATE_FAMILY,
+    """(name, solver, instance, solver kwargs, fabrics) per family."""
+    yield (GATE_FAMILY, solve_rpaths,
            expander_instance(2048, degree=4, seed=9),
            {"landmark_c": 0.5}, ("fast", "vector"))
-    yield ("solve-power-law-2048",
+    yield ("solve-power-law-2048", solve_rpaths,
            power_law_instance(2048, attach=3, seed=2),
            {"landmark_c": 0.5}, ("fast", "vector"))
-    yield ("solve-hard-instance", hard_instance(8, 3, 2),
+    yield ("solve-hard-instance", solve_rpaths, hard_instance(8, 3, 2),
            {"landmark_c": 0.5}, ("fast", "vector"))
-    yield ("solve-expander-256-3way",
+    yield ("solve-expander-256-3way", solve_rpaths,
            expander_instance(256, degree=4, seed=5),
            {}, ("reference", "fast", "vector"))
+    yield (APX_FAMILY, solve_apx_rpaths,
+           expander_instance(128, degree=4, seed=3, weighted=True),
+           {"epsilon": 0.25, "landmark_c": 0.5}, ("fast", "vector"))
 
 
 def _fingerprint(report):
-    ledger = report.ledger
     return (list(report.lengths), list(report.extras["short"]),
-            list(report.extras["long"]), ledger.rounds,
-            ledger.messages, ledger.words, ledger.max_link_words,
-            ledger.violations)
+            list(report.extras["long"]),
+            [stats.as_dict() for stats in report.ledger.phases()])
 
 
 def measure_families(repeats: int) -> Dict[str, dict]:
     """One full solve per fabric per family; best-of-N rounds/sec."""
     results: Dict[str, dict] = {}
-    for name, instance, kwargs, fabrics in _families():
+    for name, solve, instance, kwargs, fabrics in _families():
         rps: Dict[str, float] = {}
         prints = {}
         rounds = 0
@@ -125,8 +138,8 @@ def measure_families(repeats: int) -> Dict[str, dict]:
             for _ in range(reps):
                 with quiet_gc():
                     start = time.perf_counter()
-                    report = solve_rpaths(instance, seed=7,
-                                          fabric=fabric, **kwargs)
+                    report = solve(instance, seed=7, fabric=fabric,
+                                   **kwargs)
                     best = min(best, time.perf_counter() - start)
             prints[fabric] = _fingerprint(report)
             rounds = report.rounds
@@ -201,8 +214,8 @@ def render(sections: Dict[str, dict]) -> str:
         records,
         ["family", "n", "hop_count", "rounds", "fast_rps",
          "vector_rps", "speedup_vector"],
-        title="whole-solver throughput — solve_rpaths end to end "
-              "(best of N)",
+        title="whole-solver throughput — solve_rpaths / "
+              "solve_apx_rpaths end to end (best of N)",
     )
     build = (f"oracle build ({oracle_build['instances']} instances): "
              f"fast {oracle_build['fast_seconds']}s, vector "
@@ -240,4 +253,5 @@ if __name__ == "__main__":
         "solver", __doc__, measure, render, RULES, quick=True, trace=True,
         header={"gate_family": GATE_FAMILY,
                 "min_solver_speedup": MIN_SOLVER_SPEEDUP,
+                "min_apx_speedup": MIN_APX_SPEEDUP,
                 "min_build_speedup": MIN_BUILD_SPEEDUP}))

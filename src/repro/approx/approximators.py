@@ -1,7 +1,8 @@
 """Lemmas 7.5 and 7.2 — short-detour approximators via rounding.
 
 For every scale d on the ladder, the pruned hop-BFS of Lemma 4.2 is run
-on G_d (via per-edge delays) for ζ* = ζ(1+2/ε) exact hops.  From each
+on G_d (via per-edge delays) for ζ* = ζ(1+2/ε) exact hops; the floods of
+all scales, in both senses, go to the simulator as one batch.  From each
 table, vertex v_i harvests pairs (j, d') into its *short-detour
 approximator* C_i:
 
@@ -27,10 +28,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from ..congest.kernels import numpy_or_none
 from ..congest.network import CongestNetwork
 from ..congest.words import INF
 from ..graphs.instance import RPathsInstance
-from ..core.hop_bfs import pruned_max_hop_bfs
+from ..core.hop_bfs import hop_bfs_run, pruned_max_hop_bfs_batch
 from ..core.knowledge import PathKnowledge
 from .rounding import Length, Scale, to_length
 
@@ -76,72 +78,70 @@ def build_short_detour_tables(
 ) -> ShortDetourTables:
     """Run both pruned-BFS families over all scales and collapse to the
     Lemma 7.2 query structures."""
+    np = numpy_or_none()
     path = knowledge.path
     h = knowledge.hop_count
     avoid = instance.path_edge_set()
     tables = ShortDetourTables(h)
     unit = scales[0].unit  # the same U on every scale
+    dist_s = np.asarray(knowledge.dist_from_s, dtype=np.int64) * unit
+    dist_t = np.asarray(knowledge.dist_to_t, dtype=np.int64) * unit
+    at_i = np.arange(h + 1)[:, None]
 
-    # pairs_fwd[i][k] = best d' (in units) among harvested pairs (k, d')
-    # at v_i.
-    pairs_fwd: List[Dict[int, int]] = [{} for _ in range(h + 1)]
-    pairs_bwd: List[Dict[int, int]] = [{} for _ in range(h + 1)]
+    # pairs_fwd[i, j] = best d' (in units) among harvested pairs (j, d')
+    # at v_i; INF where there is none.
+    pairs_fwd = np.full((h + 1, h + 1), INF, dtype=np.int64)
+    pairs_bwd = np.full((h + 1, h + 1), INF, dtype=np.int64)
 
+    seeds_fwd = {path[i]: (i, knowledge.dist_to_t[i]) for i in range(h + 1)}
+    seeds_bwd = {path[i]: (i, knowledge.dist_from_s[i])
+                 for i in range(h + 1)}
     with net.ledger.phase(phase):
+        runs = []
         for scale in scales:
-            budget = scale.hop_budget
-            seeds_fwd = {
-                path[i]: (i, knowledge.dist_to_t[i]) for i in range(h + 1)
-            }
-            fwd = pruned_max_hop_bfs(
-                net, seeds=seeds_fwd, hop_limit=budget,
-                avoid_edges=avoid, delay=scale.delay,
-                record_for=path, sense="backward", select="max",
-                phase=f"scaled-bfs(d={scale.d})")
-            seeds_bwd = {
-                path[i]: (i, knowledge.dist_from_s[i])
-                for i in range(h + 1)
-            }
-            bwd = pruned_max_hop_bfs(
-                net, seeds=seeds_bwd, hop_limit=budget,
-                avoid_edges=avoid, delay=scale.delay,
-                record_for=path, sense="forward", select="min",
-                phase=f"scaled-bfs-rev(d={scale.d})")
-            mu = scale.mu_units
-            for i in range(h + 1):
-                table_f = fwd[path[i]]
-                table_b = bwd[path[i]]
-                best_f = pairs_fwd[i]
-                best_b = pairs_bwd[i]
-                dist_s_i = knowledge.dist_from_s[i] * unit
-                dist_t_i = knowledge.dist_to_t[i] * unit
-                for hop in range(1, budget + 1):
-                    entry = table_f[hop]
-                    if entry is not None and entry[0] > i:
-                        j, dist_t_j = entry
-                        d_prime = dist_s_i + hop * mu + dist_t_j * unit
-                        if d_prime < best_f.get(j, INF):
-                            best_f[j] = d_prime
-                    entry = table_b[hop]
-                    if entry is not None and entry[0] < i:
-                        j, dist_s_j = entry
-                        d_prime = dist_s_j * unit + hop * mu + dist_t_i
-                        if d_prime < best_b.get(j, INF):
-                            best_b[j] = d_prime
+            runs.append(hop_bfs_run(
+                seeds_fwd, scale.hop_budget, avoid, scale.delay, path,
+                f"scaled-bfs(d={scale.d})", sense="backward",
+                select="max"))
+            runs.append(hop_bfs_run(
+                seeds_bwd, scale.hop_budget, avoid, scale.delay, path,
+                f"scaled-bfs-rev(d={scale.d})", sense="forward",
+                select="min"))
+        results = pruned_max_hop_bfs_batch(net, runs)
 
-        # Lemma 7.2 — local suffix/prefix minima over the pair sets; a
-        # minimum becomes a Fraction once, when it changes.
+        def indices(table):
+            """index[i, hop] = the path index v_i holds at exact hop
+            (f*_{v_i} or g*_{v_i}), -1 for none."""
+            return np.array([[-1 if entry is None else entry[0]
+                              for entry in table[v]] for v in path],
+                            dtype=np.int64)
+
+        # A pair's dist(v_j, t) / dist(s, v_j) is the aux word the BFS
+        # carried with index j, which the seeds set from the knowledge
+        # arrays: read it back by index.
+        for k, scale in enumerate(scales):
+            hop_units = scale.units(np.arange(scale.hop_budget + 1))
+            fwd = indices(results[2 * k])
+            i, hop = np.nonzero(fwd > at_i)  # rejoins at v_j, j > i
+            j = fwd[i, hop]
+            np.minimum.at(pairs_fwd, (i, j),
+                          dist_s[i] + hop_units[hop] + dist_t[j])
+            bwd = indices(results[2 * k + 1])
+            i, hop = np.nonzero((bwd >= 0) & (bwd < at_i))  # leaves v_j
+            j = bwd[i, hop]
+            np.minimum.at(pairs_bwd, (i, j),
+                          dist_s[j] + hop_units[hop] + dist_t[i])
+
+        # Lemma 7.2 — local suffix/prefix minima over the pair sets.
+        suffix = np.minimum.accumulate(pairs_fwd[:, ::-1], axis=1)[:, ::-1]
+        prefix = np.minimum.accumulate(pairs_bwd, axis=1)
+        length_of = {units: to_length(units, unit) for units in
+                     np.unique(np.concatenate((suffix, prefix))).tolist()}
         for i in range(h + 1):
-            running, value = INF, INF
-            for j in range(h, i, -1):
-                candidate = pairs_fwd[i].get(j, INF)
-                if candidate < running:
-                    running, value = candidate, to_length(candidate, unit)
-                tables.forward[i][j] = value
-            running, value = INF, INF
-            for j in range(0, i):
-                candidate = pairs_bwd[i].get(j, INF)
-                if candidate < running:
-                    running, value = candidate, to_length(candidate, unit)
-                tables.backward[i][j] = value
+            tables.forward[i] = dict(zip(
+                range(i + 1, h + 1),
+                map(length_of.__getitem__, suffix[i, i + 1:].tolist())))
+            tables.backward[i] = dict(zip(
+                range(i),
+                map(length_of.__getitem__, prefix[i, :i].tolist())))
     return tables

@@ -49,7 +49,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, List, Mapping, Optional, Tuple,
+    Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from ..telemetry import dispatch as _counters
@@ -104,6 +104,11 @@ class Primitive:
         before anything is charged.
     escape_reason:
         The fallback reason charged when ``prepare`` escapes.
+    batched:
+        The vector implementation takes a whole batch, ``(net,
+        [(call, plan), ...])``, and returns one result per call (see
+        :func:`dispatch_batch`); the message implementation still
+        takes one call.
     """
 
     name: str
@@ -115,6 +120,7 @@ class Primitive:
     ledger: str = ""
     prepare: Optional[Callable] = None
     escape_reason: Optional[str] = None
+    batched: bool = False
     #: resolved-implementation cache (per-registration, lazy).
     _cache: Dict[str, Callable] = field(default_factory=dict, repr=False,
                                         compare=False)
@@ -286,6 +292,7 @@ _PRIMITIVES: Tuple[Primitive, ...] = (
                "frontier schedule",
         prepare=_hop_bfs_prepare,
         escape_reason=_counters.REASON_DELAY_OVERFLOW,
+        batched=True,
     ),
     Primitive(
         name=_counters.KERNEL_MULTISOURCE,
@@ -453,25 +460,39 @@ def check(primitive: str, net, **call) -> Optional[str]:
     return None
 
 
-def dispatch(primitive: str, net, **call):
-    """Route one primitive invocation to the vector or message path.
+def _route(prim: Primitive, net, call) -> Tuple[Optional[str], object]:
+    """``(fallback reason or None, send plan)`` for one call.
 
-    Evaluates the registered constraints in declared order; the first
-    failure records a ``fallback`` counter with that constraint's
-    reason and runs the message engine.  When all pass, any ``prepare``
-    hook builds the send plan (its ``OverflowError`` escape falls back
-    with the registered escape reason — nothing has been charged yet),
-    the ``vector`` hit is recorded, and the array kernel runs.  Both
-    implementations receive the identical ``**call`` keywords.
+    The first failing declared constraint gives the reason; when all
+    pass, any ``prepare`` hook builds the plan, and its
+    ``OverflowError`` escape falls back with the registered escape
+    reason (nothing has been charged yet).
     """
-    prim = REGISTRY[primitive]
-    reason = check(primitive, net, **call)
+    reason = check(prim.name, net, **call)
     plan = None
     if reason is None and prim.prepare is not None:
         try:
             plan = prim.prepare(net, call)
         except OverflowError:
             reason = prim.escape_reason
+    return reason, plan
+
+
+def dispatch(primitive: str, net, **call):
+    """Route one primitive invocation to the vector or message path.
+
+    Evaluates the registered constraints in declared order; the first
+    failure records a ``fallback`` counter with that constraint's
+    reason and runs the message engine.  When all pass, the ``vector``
+    hit is recorded and the array kernel runs (given the ``prepare``
+    hook's plan as ``plan=``).  Both implementations receive the
+    identical ``**call`` keywords.  A batched primitive runs as a
+    batch of one.
+    """
+    prim = REGISTRY[primitive]
+    if prim.batched:
+        return dispatch_batch(primitive, net, [call])[0]
+    reason, plan = _route(prim, net, call)
     if reason is not None:
         _counters.record_fallback(prim.name, reason)
         return prim.resolve("message")(net, **call)
@@ -479,6 +500,43 @@ def dispatch(primitive: str, net, **call):
     if prim.prepare is not None:
         return prim.resolve("vector")(net, plan=plan, **call)
     return prim.resolve("vector")(net, **call)
+
+
+def dispatch_batch(primitive: str, net, calls: Sequence[Mapping]) -> list:
+    """Route a sequence of calls of a batched primitive, in order.
+
+    Each call is routed, and counted, as :func:`dispatch` would route
+    it alone.  Consecutive vector calls run as one batch of the vector
+    kernel; a fallback call runs the message engine between the
+    batches around it.  Results, ledger phases and raised errors
+    therefore come out as if every call were dispatched alone in
+    order, with one difference: a batch's vector hits are all counted
+    before it runs, including those of calls after one that raises.
+    """
+    prim = REGISTRY[primitive]
+    results: list = []
+    batch: List[Tuple[Mapping, object]] = []
+
+    def flush() -> None:
+        if batch:
+            results.extend(prim.resolve("vector")(net, list(batch)))
+            batch.clear()
+
+    for call in calls:
+        try:
+            reason, plan = _route(prim, net, call)
+        except Exception:
+            flush()  # the calls before this one run first
+            raise
+        if reason is None:
+            _counters.record_vector_hit(prim.name)
+            batch.append((call, plan))
+        else:
+            flush()
+            _counters.record_fallback(prim.name, reason)
+            results.append(prim.resolve("message")(net, **call))
+    flush()
+    return results
 
 
 # -- derived telemetry enums --------------------------------------------------

@@ -5,7 +5,8 @@
 solver** through whole-structure computation over the frozen CSR
 arrays (:meth:`~repro.congest.topology.CSRTopology.arrays` /
 :meth:`~repro.congest.topology.CSRTopology.send_arrays`): the pruned
-hop-BFS of Lemma 4.2, the k-source hop BFS of Lemma 5.5, the
+hop-BFS of Lemma 4.2 (a batch of runs at once), the k-source hop BFS of
+Lemma 5.5, the
 pipelined tree broadcast of Lemma 2.4 (per-item, plus a schedule-free
 uniform-size path), the Lemma 2.5 path-chain flood, the descending
 ζ-round DP pipeline of Lemma 4.4, the segment prefix/suffix sweeps of
@@ -36,6 +37,19 @@ dispatch` entry point routes every call and falls back to the message
 path on the first failing constraint.  (The historical applicability
 predicates lived here as deprecated shims for one release; they are
 gone — the registry is the only gatekeeper.)
+
+The pruned hop-BFS kernel takes a *batch*: Theorem 3's Lemma 7.5
+floods every rounding graph G_d of the scale ladder in both senses,
+2·|ladder| runs of ζ* rounds whose per-round work is small, so one
+kernel call per run paid the per-round NumPy overhead that many times.
+The batch stacks the runs into one graph (run r's vertex v is slot
+r·n + v) and runs one round loop; a delay ring of min(max step,
+ζ* + 1) × runs × n int64 cells replaces per-arrival-hop buckets.  Each
+run's phase is opened and bulk-charged after the loop, in run order.
+In a trace, the per-scale ``phase/scaled-bfs(d=…)`` and
+``phase/scaled-bfs-rev(d=…)`` spans therefore keep their ledger deltas
+but carry almost no wall time: the flood's wall time sits in the one
+``kernel/hop_bfs`` span under ``phase/approximators(L7.5)``.
 
 NumPy is imported lazily (module import never touches it), so the
 message engines remain importable — and fully functional — without it.
@@ -228,120 +242,191 @@ def _raise_first_overload(net, senders, targets, size: int) -> None:
 @_kernel_span("hop_bfs")
 def pruned_max_hop_bfs_vector(
     net,
-    seeds: Mapping[int, Value],
-    hop_limit: int,
-    avoid_edges: EdgeSet,
-    delay: Optional[Callable[[int], int]],
-    record_for: Optional[Sequence[int]],
-    name: str,
-    run_full_budget: bool,
-    sense: str,
-    select: str,
-    plan=None,
-) -> Dict[int, List[Optional[Value]]]:
-    """Whole-frontier rounds of the pruned hop-BFS (Lemma 4.2).
+    runs: Sequence[Tuple[Mapping[str, object], object]],
+) -> List[Dict[int, List[Optional[Value]]]]:
+    """Whole-frontier rounds of a batch of pruned hop-BFS runs (Lemma 4.2).
 
-    Bit-identical to the message path in ``repro.core.hop_bfs``: same
-    tables, same ledger.  Per round: one CSR range expansion over the
-    frontier, one delay shift into per-arrival-hop buckets, one
-    segmented max (or min) per touched bucket.
+    ``runs`` holds ``(call, plan)`` pairs: ``call`` carries the keywords
+    of the message path ``repro.core.hop_bfs._hop_bfs_message``, and
+    ``plan`` the send-arrays triple the dispatcher's prepare hook built
+    (before anything is charged, so a pathological delay function
+    overflows first and the dispatcher falls back).  Returns one table
+    per run, bit-identical to the message path run on each call in
+    order, with the same per-phase ledger.
 
-    ``plan`` is the prebuilt send-arrays triple the dispatcher's
-    prepare hook supplies (built before the phase opens, so a
-    pathological delay function overflows before anything is charged
-    and the dispatcher falls back); direct callers may omit it.
+    All runs share one round loop.  Run r's vertex v is slot r·n + v of
+    a stacked graph whose send plan concatenates the per-run plans; a
+    min-select run stores negated path indices, so one ``np.maximum.at``
+    serves both senses.  Arrivals wait in a delay ring of
+    min(max step, max hop limit + 1) rows of runs·n cells (int32 when
+    the path indices fit), one row per pending arrival hop, so a round
+    is one CSR range expansion, one segmented max and one row settle
+    however long the delays are.  Runs never interact: each keeps its
+    own hop budget and early exit, and the loop stops once every run
+    is quiescent.
+
+    Nothing is charged inside the loop.  Afterwards each run's phase is
+    opened in order and charged in bulk: its rounds (the full budget,
+    or up to the round that found it quiescent) and its messages (its
+    senders' out-degrees over the rounds they sent in, summed per run).
+    Under a strict overload the first run that sent anything is charged
+    its first round and raises the message path's error, so later runs
+    are never charged, as in the message path.
     """
     np = numpy_or_none()
     n = net.n
-    if plan is None:
-        direction = "in" if sense == "backward" else "out"
-        plan = net.topology.send_arrays(direction, avoid_edges, delay)
-    indptr, indices, steps = plan
-    # Unit steps (the unweighted Lemma 4.2) collapse the scheduling:
-    # everything sent in round d arrives at exact hop d.
-    unit_steps = delay is None or bool((steps == 1).all())
-    prefer_larger = select == "max"
-    reduce_at = np.maximum.at if prefer_larger else np.minimum.at
-    sentinel = -_INT64_SAFE if prefer_larger else _INT64_SAFE
-    aux_of = {value[0]: value[1] for value in seeds.values()}
-    record = (None if record_for is None else set(record_for))
+    count = len(runs)
+    width = count * n
     size = HOP_MESSAGE_WORDS
-    overload = net.strict and size > net.bandwidth_words
-    empty = np.zeros(0, dtype=np.int64)
+    # Keys are (signed) path indices: int32 halves the ring when they
+    # fit, and the dtype's minimum marks "nothing arrived".
+    widest = max((abs(value[0]) for call, _ in runs
+                  for value in call["seeds"].values()), default=0)
+    key_dtype = np.int32 if widest <= np.iinfo(np.int32).max else np.int64
+    sent_none = int(np.iinfo(key_dtype).min)
+    limits = [call["hop_limit"] for call, _ in runs]
+    horizon = max(max(limits), 0)
+    uniform = min(limits) == horizon
 
-    with net.ledger.phase(name):
-        fr_v = np.fromiter(seeds.keys(), dtype=np.int64,
-                           count=len(seeds))
-        fr_idx = np.fromiter((v[0] for v in seeds.values()),
-                             dtype=np.int64, count=len(seeds))
-        #: arrival hop -> dense best-index array (lazily allocated; at
-        #: most max-delay buckets live at once).
-        buckets: Dict[int, object] = {}
-        settled: List[Tuple[int, object, object]] = []
+    # The stacked send plan (int64: slot ids outgrow the int32 diet).
+    edge_base = 0
+    indptr_parts, index_parts, step_parts = [], [], []
+    for r, (_, (plan_ptr, plan_idx, plan_steps)) in enumerate(runs):
+        indptr_parts.append(plan_ptr[:-1].astype(np.int64) + edge_base)
+        index_parts.append(plan_idx.astype(np.int64) + r * n)
+        step_parts.append(plan_steps.astype(np.int64, copy=False))
+        edge_base += len(plan_idx)
+    indptr_parts.append(np.array([edge_base], dtype=np.int64))
+    indptr = np.concatenate(indptr_parts)
+    indices = np.concatenate(index_parts)
+    steps = np.concatenate(step_parts)
+    max_step = int(steps.max()) if steps.size else 1
+    unit_steps = max_step == 1
+    # Arrivals are due at most max_step - 1 hops after the round that
+    # sends them, so a ring of max_step rows holds every pending hop;
+    # when that outreaches the horizon, rows are indexed by hop (no
+    # wrap).  One extra cell past the ring swallows the arrivals past
+    # their run's budget.
+    wrap = max_step <= horizon
+    ring_rows = max_step if wrap else horizon + 1
+    dump = ring_rows * width
+    ring_flat = np.full(dump + 1, sent_none, dtype=key_dtype)
+    ring = ring_flat[:dump].reshape(ring_rows, width)
+    limit_of = None if uniform else np.repeat(
+        np.asarray(limits, dtype=np.int64), n)
 
-        for d in range(1, hop_limit + 1):
-            if not run_full_budget and not fr_v.size and not buckets:
-                break
-            if fr_v.size:
-                counts = indptr[fr_v + 1] - indptr[fr_v]
-                total = int(counts.sum())
-            else:
-                counts = empty
-                total = 0
-            _charge_uniform_round(net, total, size)
+    seed_slots, seed_keys, records = [], [], []
+    for r, (call, _) in enumerate(runs):
+        seeds = call["seeds"]
+        sign = 1 if call["select"] == "max" else -1
+        seed_slots.append(np.fromiter(seeds.keys(), dtype=np.int64,
+                                      count=len(seeds)) + r * n)
+        seed_keys.append(sign * np.fromiter(
+            (value[0] for value in seeds.values()), dtype=np.int64,
+            count=len(seeds)))
+        record_for = call["record_for"]
+        record = set(range(n) if record_for is None else record_for)
+        records.append((record, [u for u in record if 0 <= u < n]))
+    fr = np.concatenate(seed_slots)
+    keys = np.concatenate(seed_keys).astype(key_dtype)
+    rec_slots = np.concatenate([
+        np.asarray(verts, dtype=np.int64) + r * n
+        for r, (_, verts) in enumerate(records)])
+    # last[r]: the latest hop run r settled anything at (-1: nothing);
+    # an early-exit run stops before the round after it.
+    early_exit = not all(call["run_full_budget"] for call, _ in runs)
+    last = np.full(count, -1, dtype=np.int64)
+    last[fr // n] = 0
+    if limit_of is not None:
+        live = limit_of[fr] > 0
+        fr, keys = fr[live], keys[live]
+    sends = np.zeros(width, dtype=np.int64)
+    snapshots = []
+    pending = 0  # no arrival is scheduled past this hop
+
+    for d in range(1, horizon + 1):
+        if not fr.size and d > pending:
+            break
+        if fr.size:
+            counts = indptr[fr + 1] - indptr[fr]
+            total = int(counts.sum())
+            sends[fr] += 1
             if total:
-                slots = _expand_ranges(np, indptr[fr_v], counts, total)
-                if overload:
-                    _raise_first_overload(
-                        net, np.repeat(fr_v, counts), indices[slots],
-                        size)
+                slots = _expand_ranges(np, indptr[fr], counts, total)
+                targets = indices[slots]
+                sent_keys = np.repeat(keys, counts)
                 if unit_steps:
-                    # Every send of round d settles at hop d (<= the
-                    # budget, by the loop bound): one segmented reduce.
-                    bucket = buckets.get(d)
-                    if bucket is None:
-                        bucket = buckets[d] = np.full(
-                            n, sentinel, dtype=np.int64)
-                    reduce_at(bucket, indices[slots],
-                              np.repeat(fr_idx, counts))
+                    pending = d
                 else:
-                    # Steps may be an int32 diet export; the hop sum
-                    # can exceed int32, so upcast at the gather site.
-                    arrive = (d - 1) + steps[slots].astype(
-                        np.int64, copy=False)
-                    keep = arrive <= hop_limit
-                    targets = indices[slots][keep]
-                    if targets.size:
-                        arrive = arrive[keep]
-                        idx_e = np.repeat(fr_idx, counts)[keep]
-                        for a in np.unique(arrive).tolist():
-                            bucket = buckets.get(a)
-                            if bucket is None:
-                                bucket = buckets[a] = np.full(
-                                    n, sentinel, dtype=np.int64)
-                            mask = arrive == a
-                            reduce_at(bucket, targets[mask],
-                                      idx_e[mask])
-            bucket = buckets.pop(d, None)
-            if bucket is None:
-                fr_v = fr_idx = empty
-            else:
-                fr_v = np.nonzero(bucket != sentinel)[0]
-                fr_idx = bucket[fr_v]
-                settled.append((d, fr_v, fr_idx))
+                    arrive = (d - 1) + steps[slots]
+                    keep = arrive <= (horizon if uniform
+                                      else limit_of[targets])
+                    if wrap:
+                        arrive %= ring_rows
+                    targets = np.where(keep, arrive * width + targets,
+                                       dump)
+                    pending = min(d - 1 + max_step, horizon)
+                np.maximum.at(ring_flat, targets, sent_keys)
+        row = ring[d % ring_rows]
+        snapshots.append(row[rec_slots])
+        fr = np.flatnonzero(row != sent_none)
+        keys = row[fr]
+        row[fr] = sent_none
+        if early_exit:
+            last[fr // n] = d
+        if limit_of is not None:
+            live = limit_of[fr] > d
+            fr, keys = fr[live], keys[live]
 
+    # Each sender sends once per out-edge in every round it is settled.
+    messages = (sends * np.diff(indptr)).reshape(count, n).sum(axis=1)
+    settled = (np.stack(snapshots) if snapshots
+               else np.zeros((0, rec_slots.size), dtype=key_dtype))
+    overload = net.strict and size > net.bandwidth_words
+    out: List[Dict[int, List[Optional[Value]]]] = []
+    col = 0
+    for r, (call, plan) in enumerate(runs):
+        limit = limits[r]
+        rounds = (limit if call["run_full_budget"]
+                  else min(limit, int(last[r]) + 1))
+        sent = int(messages[r])
+        senders = targets = ()
+        if overload and sent:
+            senders, targets = _seed_links(np, call["seeds"], plan)
+        with net.ledger.phase(call["name"]):
+            charge_uniform_rounds(net, rounds, sent, size, senders,
+                                  targets)
+        seeds = call["seeds"]
+        record, verts = records[r]
         tables: Dict[int, List[Optional[Value]]] = {
-            u: [None] * (hop_limit + 1)
-            for u in (range(n) if record is None else record)
-        }
+            u: [None] * (limit + 1) for u in record}
         for u, value in seeds.items():
-            if record is None or u in record:
+            if u in record:
                 tables[u][0] = value
-        for d, verts, idxs in settled:
-            for u, idx in zip(verts.tolist(), idxs.tolist()):
-                if record is None or u in record:
-                    tables[u][d] = (idx, aux_of[idx])
-        return tables
+        block = settled[:max(limit, 0), col:col + len(verts)]
+        col += len(verts)
+        sign = 1 if call["select"] == "max" else -1
+        aux_of = {value[0]: value[1] for value in seeds.values()}
+        value_of = {key: (sign * key, aux_of[sign * key])
+                    for key in np.unique(block).tolist()
+                    if key != sent_none}
+        value_of[sent_none] = None
+        for u, column in zip(verts, block.T.tolist()):
+            tables[u][1:1 + len(column)] = map(value_of.__getitem__,
+                                               column)
+        out.append(tables)
+    return out
+
+
+def _seed_links(np, seeds, plan):
+    """A run's round-1 ``(senders, targets)``: its seeds' send links."""
+    plan_ptr, plan_idx, _ = plan
+    frontier = np.fromiter(seeds.keys(), dtype=np.int64, count=len(seeds))
+    starts = plan_ptr[frontier].astype(np.int64)
+    counts = plan_ptr[frontier + 1].astype(np.int64) - starts
+    total = int(counts.sum())
+    slots = _expand_ranges(np, starts, counts, total)
+    return np.repeat(frontier, counts), plan_idx[slots]
 
 
 # -- k-source hop BFS (Lemma 5.5) -------------------------------------------

@@ -30,9 +30,11 @@ Two generalisations serve Section 7:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple,
+)
 
-from ..congest.dispatch import dispatch
+from ..congest.dispatch import dispatch_batch
 from ..congest.network import CongestNetwork
 from ..congest.topology import downstream_step_tables
 
@@ -96,17 +98,53 @@ def pruned_max_hop_bfs(
     ``tables[u][d]`` = the surviving (index, aux) pair at exact hop d,
     or None for "no walk", for d ∈ 0..hop_limit.
     """
+    return pruned_max_hop_bfs_batch(net, [hop_bfs_run(
+        seeds, hop_limit, avoid_edges, delay, record_for, phase,
+        run_full_budget, sense, select)])[0]
+
+
+def hop_bfs_run(
+    seeds: Dict[int, Value],
+    hop_limit: int,
+    avoid_edges: EdgeSet = _EMPTY,
+    delay: Optional[Callable[[int], int]] = None,
+    record_for: Optional[Iterable[int]] = None,
+    phase: Optional[str] = None,
+    run_full_budget: bool = True,
+    sense: str = "backward",
+    select: str = "max",
+) -> Dict[str, object]:
+    """One run of a :func:`pruned_max_hop_bfs_batch` batch.
+
+    Takes :func:`pruned_max_hop_bfs`'s parameters, checks ``sense`` and
+    ``select``, and returns the run as the dispatcher's call keywords
+    (the phase name defaults to ``hop-bfs(L4.2,<sense>)``).
+    """
     if sense not in ("backward", "forward"):
         raise ValueError(f"unknown sense {sense!r}")
     if select not in ("max", "min"):
         raise ValueError(f"unknown select {select!r}")
+    return dict(
+        seeds=seeds, hop_limit=hop_limit, avoid_edges=avoid_edges,
+        delay=delay, record_for=record_for,
+        name=phase if phase is not None else f"hop-bfs(L4.2,{sense})",
+        run_full_budget=run_full_budget, sense=sense, select=select)
 
-    name = phase if phase is not None else f"hop-bfs(L4.2,{sense})"
-    return dispatch(
-        "hop_bfs", net, seeds=seeds, hop_limit=hop_limit,
-        avoid_edges=avoid_edges, delay=delay, record_for=record_for,
-        name=name, run_full_budget=run_full_budget, sense=sense,
-        select=select)
+
+def pruned_max_hop_bfs_batch(
+    net: CongestNetwork,
+    runs: Sequence[Dict[str, object]],
+) -> List[Dict[int, List[Optional[Value]]]]:
+    """Run several pruned hop-BFS floods on one network, in order.
+
+    ``runs`` are built by :func:`hop_bfs_run`.  Returns one table per
+    run, and leaves the ledger and the dispatch counters, as if
+    :func:`pruned_max_hop_bfs` ran on each in turn: each run opens its
+    own phase and is routed on its own.  On the vector fabric the runs
+    the kernel takes share one round loop, which is what makes Lemma
+    7.5's ladder of 2·|ladder| floods cheap to simulate.
+    """
+    return dispatch_batch("hop_bfs", net, runs)
 
 
 def _hop_bfs_message(

@@ -84,9 +84,9 @@ CASES = [
      {f"{F}/solve-expander-256-3way/speedup_vector": 6.0},
      ["solve-expander-256-3way"]),
     ("solver", "doubled-tolerance-inside",
-     {f"{F}/solve-hard-instance/speedup_vector": 15.0}, {}, []),
+     {f"{F}/solve-hard-instance/speedup_vector": 20.5}, {}, []),
     ("solver", "doubled-tolerance-outside",
-     {f"{F}/solve-hard-instance/speedup_vector": 14.0}, {},
+     {f"{F}/solve-hard-instance/speedup_vector": 20.0}, {},
      ["solve-hard-instance"]),
     ("solver", "oracle-build-below-2x",
      {"oracle_build/speedup_vector": 1.9},
@@ -99,6 +99,13 @@ CASES = [
      {"oracle_build/speedup_vector": 3.0}, {"oracle_build": DELETE}, []),
     ("solver", "missing-family",
      {f"{F}/solve-power-law-2048": DELETE}, {}, ["solve-power-law-2048"]),
+    ("solver", "apx-below-10x",
+     {f"{F}/apx-expander-weighted-128/speedup_vector": 9.9},
+     {f"{F}/apx-expander-weighted-128/speedup_vector": 12.0},
+     ["apx-expander-weighted-128"]),
+    ("solver", "apx-at-10x",
+     {f"{F}/apx-expander-weighted-128/speedup_vector": 10.0},
+     {f"{F}/apx-expander-weighted-128/speedup_vector": 12.0}, []),
     # -- serve: ratios only within one quick mode ----------------------
     ("serve", "oracle-hit-below-20x",
      {"quick": False, f"{F}/oracle-hit/speedup": 19.0}, {},

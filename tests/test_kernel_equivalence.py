@@ -43,7 +43,11 @@ from repro.congest import kernels
 from repro.congest.dispatch import dispatch as run_primitive
 from repro.congest.dispatch import registry as primitive_registry
 from repro.congest.metrics import RoundLedger
-from repro.core.hop_bfs import pruned_max_hop_bfs
+from repro.core.hop_bfs import (
+    hop_bfs_run,
+    pruned_max_hop_bfs,
+    pruned_max_hop_bfs_batch,
+)
 from repro.graphs import (
     expander_instance,
     power_law_instance,
@@ -227,6 +231,39 @@ class TestEndToEnd:
         assert summaries["vector"] == summaries["fast"]
 
 
+def _hop_bfs_ladder(instance):
+    """Lemma 7.5's runs over a scale ladder, both senses per scale."""
+    from repro.approx.rounding import scale_ladder
+
+    path = instance.path
+    fwd = {v: (i, 7 * i + 3) for i, v in enumerate(path)}
+    bwd = {v: (i, 5 * i) for i, v in enumerate(path)}
+    runs = []
+    for scale in scale_ladder(3, 0.25, 40):
+        runs.append(hop_bfs_run(
+            fwd, scale.hop_budget, instance.path_edge_set(), scale.delay,
+            path, f"scaled-bfs(d={scale.d})"))
+        runs.append(hop_bfs_run(
+            bwd, scale.hop_budget, instance.path_edge_set(), scale.delay,
+            path, f"scaled-bfs-rev(d={scale.d})", sense="forward",
+            select="min"))
+    return runs
+
+
+#: Calls that overload a bandwidth_words=2 strict network in their first
+#: round.  The ladder starts with a run that sends nothing, so the error
+#: comes from its second run, after the first one's idle rounds.
+STRICT_OVERLOADS = {
+    "multisource": lambda inst, net: multi_source_hop_bfs(
+        net, [inst.s], 4),
+    "hop_bfs": lambda inst, net: pruned_max_hop_bfs(
+        net, {v: (i, i) for i, v in enumerate(inst.path)}, 4),
+    "hop_bfs-ladder": lambda inst, net: pruned_max_hop_bfs_batch(
+        net, [hop_bfs_run({}, 5, phase="idle")]
+        + _hop_bfs_ladder(inst)),
+}
+
+
 class TestKernelGating:
     def test_vector_enabled_only_for_vector_fabric(self):
         instance = random_instance(10, seed=2)
@@ -274,18 +311,19 @@ class TestKernelGating:
     def test_strict_overload_raises_identically(self):
         from repro.congest import BandwidthExceededError
 
-        details = {}
-        for fabric in ("fast", "vector"):
-            instance = random_instance(10, seed=8)
-            net = instance.build_network(bandwidth_words=2,
-                                         fabric=fabric)
-            net.strict = True
-            with pytest.raises(BandwidthExceededError) as err:
-                multi_source_hop_bfs(net, [instance.s], 4)
-            details[fabric] = (err.value.sender, err.value.receiver,
-                               err.value.words,
-                               ledger_snapshot(net.ledger))
-        assert details["vector"] == details["fast"]
+        instance = random_instance(10, seed=8)
+        for scenario, overload in STRICT_OVERLOADS.items():
+            details = {}
+            for fabric in ("fast", "vector"):
+                net = instance.build_network(bandwidth_words=2,
+                                             fabric=fabric)
+                net.strict = True
+                with pytest.raises(BandwidthExceededError) as err:
+                    overload(instance, net)
+                details[fabric] = (err.value.sender, err.value.receiver,
+                                   err.value.words,
+                                   ledger_snapshot(net.ledger))
+            assert details["vector"] == details["fast"], scenario
 
 
 # -- registry-parametrized forced fallbacks -----------------------------------
@@ -303,19 +341,28 @@ def _tree_tuple(tree):
             [list(c) for c in tree.children])
 
 
-def _hop_bfs_big_aux(inst, net):
-    return pruned_max_hop_bfs(net, {inst.path[0]: (0, BIG)}, 4)
-
-
-def _hop_bfs_clashing_aux(inst, net):
+#: fallback reason -> a hop-BFS run violating exactly that constraint.
+HOP_BFS_BAD_RUNS = {
+    "value-out-of-int64": lambda inst: hop_bfs_run(
+        {inst.path[0]: (0, BIG)}, 4),
     # Two seeds share an index with different aux words.
-    seeds = {inst.path[0]: (0, 5), inst.path[1]: (0, 9)}
-    return pruned_max_hop_bfs(net, seeds, 5)
+    "non-functional-aux": lambda inst: hop_bfs_run(
+        {inst.path[0]: (0, 5), inst.path[1]: (0, 9)}, 5),
+    "delay-overflow": lambda inst: hop_bfs_run(
+        {inst.path[0]: (0, 3)}, 3, delay=lambda w: BIG),
+}
 
 
-def _hop_bfs_delay_overflow(inst, net):
-    return pruned_max_hop_bfs(net, {inst.path[0]: (0, 3)}, 3,
-                              delay=lambda w: BIG)
+def _hop_bfs_bad(reason):
+    def scenario(inst, net):
+        run = HOP_BFS_BAD_RUNS[reason](inst)
+        return pruned_max_hop_bfs_batch(net, [run])[0]
+    return scenario
+
+
+def _hop_bfs_good_run(inst, phase):
+    seeds = {v: (i, 7 * i + 3) for i, v in enumerate(inst.path)}
+    return hop_bfs_run(seeds, 5, phase=phase)
 
 
 def _multisource_huge_hop_limit(inst, net):
@@ -395,9 +442,9 @@ def _n_shift_float_rows(inst, net):
 #: declared constraint (or escape hatch).  The coverage test below
 #: asserts this table matches the registry's declarations one-to-one.
 FALLBACK_CASES = {
-    ("hop_bfs", "value-out-of-int64"): _hop_bfs_big_aux,
-    ("hop_bfs", "non-functional-aux"): _hop_bfs_clashing_aux,
-    ("hop_bfs", "delay-overflow"): _hop_bfs_delay_overflow,
+    ("hop_bfs", "value-out-of-int64"): _hop_bfs_bad("value-out-of-int64"),
+    ("hop_bfs", "non-functional-aux"): _hop_bfs_bad("non-functional-aux"),
+    ("hop_bfs", "delay-overflow"): _hop_bfs_bad("delay-overflow"),
     ("multisource", "key-encoding-overflow"): _multisource_huge_hop_limit,
     ("multisource", "source-out-of-range"): _multisource_bad_source,
     ("multisource", "delay-overflow"): _multisource_delay_overflow,
@@ -485,11 +532,15 @@ def _outcome(scenario, inst, net):
         return ("raise", type(exc).__name__, str(exc))
 
 
-def _dispatch_row_set():
+def _dispatch_counts():
     counters = counters_mod.registry.snapshot()["counters"]
-    return {(kernel, outcome, reason)
-            for kernel, outcome, reason, _ in
+    return {(kernel, outcome, reason): count
+            for kernel, outcome, reason, count in
             tooling.dispatch_rows(counters)}
+
+
+def _dispatch_row_set():
+    return set(_dispatch_counts())
 
 
 class TestRegistryForcedFallbacks:
@@ -543,6 +594,43 @@ class TestRegistryForcedFallbacks:
                 assert not any(k == primitive and o == "vector"
                                for k, o, _ in rows)
         assert out["vector"] == out["fast"]
+
+    @pytest.mark.parametrize("reason", sorted(HOP_BFS_BAD_RUNS))
+    def test_hop_bfs_fallback_inside_a_batch(self, reason):
+        # The bad run splits the batch: the kernel runs the good run
+        # before it, the message lane the bad one, the kernel the rest.
+        instance = self._instance()
+        runs = [_hop_bfs_good_run(instance, "before"),
+                HOP_BFS_BAD_RUNS[reason](instance),
+                _hop_bfs_good_run(instance, "after")]
+        out = {}
+        for fabric in ("fast", "vector"):
+            counters_mod.registry.reset()
+            net = instance.build_network(fabric=fabric)
+            out[fabric] = (pruned_max_hop_bfs_batch(net, runs),
+                           ledger_snapshot(net.ledger))
+        assert out["vector"] == out["fast"]
+        assert _dispatch_counts() == {
+            ("hop_bfs", "vector", ""): 2,
+            ("hop_bfs", "fallback", reason): 1,
+        }
+
+    def test_theorem3_dispatches_each_run_once(self):
+        # One hop_bfs dispatch per ladder run, as when each run was its
+        # own call: the solve workload's thm3-weighted input records 59
+        # vector hits out of 63 dispatches.
+        from repro.approx.apx_rpaths import solve_apx_rpaths
+        from repro.graphs import expander_instance
+
+        instance = expander_instance(128, degree=4, seed=0, weighted=True)
+        report = solve_apx_rpaths(instance, epsilon=0.25, seed=7,
+                                  fabric="vector", landmark_c=0.5)
+        counts = _dispatch_counts()
+        assert counts[("hop_bfs", "vector", "")] == 2 * report.scale_count
+        assert not any(k == "hop_bfs" and o == "fallback"
+                       for k, o, _ in counts)
+        vector = sum(c for (_, o, _), c in counts.items() if o == "vector")
+        assert (vector, sum(counts.values())) == (59, 63)
 
     @pytest.mark.parametrize("primitive", sorted(VALID_CALLS))
     def test_valid_call_takes_the_kernel(self, primitive):
